@@ -72,8 +72,9 @@ bench:
 	$(GO) test -run '^$$' -bench 'GEMM|ConvFwdBwd|TwinStep|DenseFused|OptimStep' -benchtime 3s -benchmem -json . > BENCH_numeric.json
 	@grep -o '"Output":"Benchmark[^"]*' BENCH_numeric.json | sed 's/"Output":"//;s/\\t/\t/g' || true
 
-# Serving benchmarks: dynamically batched vs unbatched closed-loop
-# throughput across batch caps, machine-readable for regression tracking.
+# Serving benchmarks: a one-replica fleet's batched vs unbatched
+# closed-loop throughput across batch caps (Serve*) and the replica sweep
+# (Fleet), machine-readable for regression tracking.
 bench-serve:
 	$(GO) test -run '^$$' -bench 'Serve|Fleet' -benchtime 2s -benchmem -json . > BENCH_serve.json
 	@grep -o '"Output":"Benchmark[^"]*' BENCH_serve.json | sed 's/"Output":"//;s/\\t/\t/g' || true

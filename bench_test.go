@@ -248,29 +248,6 @@ func BenchmarkTrainStepCNN(b *testing.B) {
 	b.ReportMetric(16*float64(b.N)/b.Elapsed().Seconds(), "samples/s(real)")
 }
 
-func BenchmarkDataParallelStep(b *testing.B) {
-	mk := func() *graph.Network {
-		rng := tensor.NewRNG(6)
-		return graph.New("mlp", layers.NewSequential("mlp",
-			layers.NewDense("fc1", 8, 64, rng),
-			layers.NewReLU("relu"),
-			layers.NewDense("fc2", 64, 4, rng),
-		))
-	}
-	dp := dist.NewDataParallel(optim.NewSGD(0.1), mk(), mk(), mk(), mk())
-	rng := tensor.NewRNG(7)
-	x := tensor.RandNormal(rng, 0, 1, 64, 8)
-	labels := make([]int, 64)
-	for i := range labels {
-		labels[i] = rng.Intn(4)
-	}
-	xs, ys := dist.SplitBatch(x, labels, 4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dp.Step(xs, ys)
-	}
-}
-
 // BenchmarkKernelEmission measures the analytic layer: expanding
 // ResNet-50 into its full per-iteration kernel stream.
 func BenchmarkKernelEmission(b *testing.B) {
@@ -442,69 +419,18 @@ func BenchmarkOptimStep(b *testing.B) {
 
 // --- serving benchmarks (BENCH_serve.json) ---
 
-// benchServeConfig drives one Service with a fixed closed-loop client
-// population and reports sustained request throughput. The b.N requests
-// are split across the clients so the measured steady state matches the
-// serving daemon's: many single-sample requests racing into the
-// admission queue, one runner batching them down onto the network.
-func benchServeConfig(b *testing.B, maxBatch, clients int) {
-	b.Helper()
-	net, shape, err := models.ServeTwin("mlp", tensor.NewRNG(42))
-	if err != nil {
-		b.Fatal(err)
-	}
-	svc := serve.New(serve.NewSession(net, shape...), serve.Config{
-		MaxBatch:   maxBatch,
-		MaxWait:    500 * time.Microsecond,
-		QueueDepth: 4 * clients,
-	})
-	defer svc.Close()
+// BenchmarkServeUnbatched is the baseline: a one-replica fleet where
+// every request is its own forward pass (batch cap 1), under the same
+// 64-client closed-loop load the batched configurations see.
+func BenchmarkServeUnbatched(b *testing.B) { benchFleetConfig(b, 1, 1, 64) }
 
-	rng := tensor.NewRNG(7)
-	samples := make([]*tensor.Tensor, clients)
-	for i := range samples {
-		samples[i] = tensor.RandNormal(rng, 0, 1, shape...)
-	}
-
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	for w := 0; w < clients; w++ {
-		n := b.N / clients
-		if w < b.N%clients {
-			n++
-		}
-		if n == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(w, n int) {
-			defer wg.Done()
-			for i := 0; i < n; i++ {
-				if _, err := svc.Predict(samples[w]); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		}(w, n)
-	}
-	wg.Wait()
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "samples/s")
-	b.ReportMetric(svc.Stats().MeanOccupancy, "batch-occupancy")
-}
-
-// BenchmarkServeUnbatched is the baseline: every request is its own
-// forward pass (batch cap 1) under the same 64-client closed-loop load
-// the batched configurations see.
-func BenchmarkServeUnbatched(b *testing.B) { benchServeConfig(b, 1, 64) }
-
-// BenchmarkServeBatched sweeps the dynamic batch cap at fixed offered
-// load. The cap-64 row is required to sustain >= 3x the unbatched
-// baseline (see ISSUE 3 / EXPERIMENTS.md).
+// BenchmarkServeBatched sweeps a one-replica fleet's dynamic batch cap
+// at fixed offered load. The cap-64 row is required to sustain >= 3x the
+// unbatched baseline (see EXPERIMENTS.md).
 func BenchmarkServeBatched(b *testing.B) {
 	for _, cap := range []int{1, 4, 16, 64} {
 		b.Run(fmt.Sprintf("cap%d", cap), func(b *testing.B) {
-			benchServeConfig(b, cap, 64)
+			benchFleetConfig(b, 1, cap, 64)
 		})
 	}
 }

@@ -1,11 +1,12 @@
-// Distributed: the paper's §4.5 scaling study plus a real data-parallel
-// trainer.
+// Distributed: the paper's §4.5 scaling study plus real data-parallel
+// training over a parameter server.
 //
 // The first half regenerates Figure 10 — ResNet-50 on MXNet across five
 // cluster configurations, showing the Ethernet collapse and the healthy
 // InfiniBand/PCIe scaling. The second half runs an actual synchronous
-// data-parallel training job in-process (goroutine workers, gradient
-// averaging) and verifies replicas converge while staying bit-identical.
+// data-parallel training job: two workers pull weights from and push
+// gradients to a parameter server over localhost TCP, and the loss must
+// fall.
 package main
 
 import (
@@ -40,7 +41,6 @@ func run() error {
 		fmt.Printf("%-20s %-10d %-14.1f %.0f%%\n", r.Config, r.PerGPUBatch, r.Throughput, 100*r.ScalingEfficiency)
 	}
 
-	fmt.Println("\n== Real synchronous data-parallel training (4 goroutine workers) ==")
 	construct := func() *graph.Network {
 		rng := tensor.NewRNG(11)
 		return graph.New("mlp", layers.NewSequential("mlp",
@@ -49,7 +49,6 @@ func run() error {
 			layers.NewDense("fc2", 32, 4, rng),
 		))
 	}
-	dp := dist.NewDataParallel(optim.NewSGD(0.2), construct(), construct(), construct(), construct())
 
 	rng := tensor.NewRNG(5)
 	batch := func(n int) (*tensor.Tensor, []int) {
@@ -68,34 +67,6 @@ func run() error {
 		}
 		return x, labels
 	}
-	var first, last float32
-	for i := 0; i < 100; i++ {
-		x, labels := batch(64)
-		xs, ys := dist.SplitBatch(x, labels, 4)
-		loss := dp.Step(xs, ys)
-		if i == 0 {
-			first = loss
-		}
-		last = loss
-		if (i+1)%25 == 0 {
-			fmt.Printf("  step %3d: mean shard loss %.4f\n", i+1, loss)
-		}
-	}
-	if last >= first/2 {
-		return fmt.Errorf("data-parallel training did not converge: %.4f -> %.4f", first, last)
-	}
-
-	// Replicas must remain bit-identical after synchronous training.
-	base := dp.Replicas[0].Params()
-	for _, r := range dp.Replicas[1:] {
-		for i, p := range r.Params() {
-			if !tensor.Equal(base[i].Value, p.Value, 0) {
-				return fmt.Errorf("replicas diverged")
-			}
-		}
-	}
-	fmt.Println("  replicas in sync after 100 steps")
-
 	if err := runTCPParameterServer(construct, batch); err != nil {
 		return err
 	}

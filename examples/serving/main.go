@@ -1,5 +1,5 @@
-// Serving example: stand up the dynamic-batching inference service over
-// the dense serving twin and trace its throughput-vs-latency curve with
+// Serving example: stand up a one-replica serving fleet (the dynamic
+// micro-batcher) over the dense serving twin and trace its throughput-vs-latency curve with
 // the closed-loop load generator — batched vs unbatched, rising offered
 // load. This is the serving-side mirror of the paper's batch-size sweep
 // (Figures 4-6): occupancy climbs with concurrency, per-sample GEMM cost
@@ -20,16 +20,25 @@ func main() {
 	tensor.SetParallelism(runtime.GOMAXPROCS(0))
 
 	run := func(label string, maxBatch int, concurrency int) {
-		net, shape, err := models.ServeTwin("mlp", tensor.NewRNG(42))
+		_, shape, err := models.ServeTwin("mlp", tensor.NewRNG(42))
 		if err != nil {
 			panic(err)
 		}
-		svc := serve.New(serve.NewSession(net, shape...), serve.Config{
+		fleet, err := serve.NewFleet(func() (*serve.Session, error) {
+			net, shape, err := models.ServeTwin("mlp", tensor.NewRNG(42))
+			if err != nil {
+				return nil, err
+			}
+			return serve.NewSession(net, shape...), nil
+		}, serve.FleetConfig{
 			MaxBatch:   maxBatch,
 			MaxWait:    500 * time.Microsecond,
 			QueueDepth: 4 * concurrency,
 		})
-		defer svc.Close()
+		if err != nil {
+			panic(err)
+		}
+		defer fleet.Close()
 
 		rng := tensor.NewRNG(7)
 		samples := make([]*tensor.Tensor, concurrency)
@@ -38,10 +47,10 @@ func main() {
 		}
 		res := serve.LoadGen{Concurrency: concurrency, Duration: 1500 * time.Millisecond}.Run(
 			func(w int) error {
-				_, err := svc.Predict(samples[w])
+				_, err := fleet.Predict(samples[w])
 				return err
 			})
-		snap := svc.Stats()
+		snap := fleet.Stats()
 		fmt.Printf("%-10s cap=%-3d clients=%-3d  %7.0f req/s   p50 %6.2fms  p95 %6.2fms  p99 %6.2fms   occupancy %5.1f\n",
 			label, maxBatch, concurrency, res.ThroughputRPS,
 			res.P50Ms(), res.P95Ms(), res.P99Ms(), snap.MeanOccupancy)

@@ -2,8 +2,10 @@
 // §4.5): a cluster-level performance model that reproduces Figure 10's
 // multi-GPU / multi-machine scaling study (parameter-server and ring
 // all-reduce aggregation over PCIe, Ethernet, or InfiniBand), and a real
-// in-process data-parallel trainer for the numeric engine that splits
-// mini-batches across replica networks and averages gradients.
+// data-parallel runtime for the numeric engine: ranks (worker processes,
+// or goroutines in tests and benchmarks) each train on a shard of the
+// global batch and average gradients over a TCP ring all-reduce or a
+// parameter server.
 package dist
 
 import (

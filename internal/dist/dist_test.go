@@ -9,7 +9,6 @@ import (
 	"tbd/internal/kernels"
 	"tbd/internal/layers"
 	"tbd/internal/models"
-	"tbd/internal/optim"
 	"tbd/internal/sim"
 	"tbd/internal/tensor"
 )
@@ -121,7 +120,7 @@ func TestSingleWorkerHasNoComm(t *testing.T) {
 	}
 }
 
-// --- real in-process data parallelism ---
+// --- fixtures for the ring and parameter-server training tests ---
 
 func mlpConstructor(seed uint64) func() *graph.Network {
 	return func() *graph.Network {
@@ -151,70 +150,6 @@ func makeBatch(rng *tensor.RNG, n int) (*tensor.Tensor, []int) {
 	return x, labels
 }
 
-func TestDataParallelEquivalentToSingleReplica(t *testing.T) {
-	// One synchronous data-parallel step over 4 shards must match a
-	// single-replica step over the full batch (same init, same data).
-	mk := mlpConstructor(42)
-	single := mk()
-	optS := optim.NewSGD(0.1)
-	rng := tensor.NewRNG(7)
-	x, labels := makeBatch(rng, 16)
-
-	// Single-replica reference step.
-	graph.TrainClassifierStep(single, optS, x, labels, 0)
-
-	replicas := []*graph.Network{mk(), mk(), mk(), mk()}
-	dp := NewDataParallel(optim.NewSGD(0.1), replicas...)
-	xs, ys := SplitBatch(x, labels, 4)
-	dp.Step(xs, ys)
-
-	sp := single.Params()
-	mp := dp.Replicas[0].Params()
-	for i := range sp {
-		if !tensor.Equal(sp[i].Value, mp[i].Value, 1e-5) {
-			t.Fatalf("parameter %s diverged between single and data-parallel steps", sp[i].Name)
-		}
-	}
-}
-
-func TestDataParallelKeepsReplicasInSync(t *testing.T) {
-	mk := mlpConstructor(1)
-	dp := NewDataParallel(optim.NewSGD(0.05), mk(), mk(), mk())
-	rng := tensor.NewRNG(2)
-	for i := 0; i < 10; i++ {
-		x, labels := makeBatch(rng, 12)
-		xs, ys := SplitBatch(x, labels, 3)
-		dp.Step(xs, ys)
-	}
-	base := dp.Replicas[0].Params()
-	for _, r := range dp.Replicas[1:] {
-		for i, p := range r.Params() {
-			if !tensor.Equal(base[i].Value, p.Value, 0) {
-				t.Fatal("replicas out of sync after training")
-			}
-		}
-	}
-}
-
-func TestDataParallelLearns(t *testing.T) {
-	mk := mlpConstructor(3)
-	dp := NewDataParallel(optim.NewSGD(0.2), mk(), mk())
-	rng := tensor.NewRNG(4)
-	var first, last float32
-	for i := 0; i < 80; i++ {
-		x, labels := makeBatch(rng, 32)
-		xs, ys := SplitBatch(x, labels, 2)
-		loss := dp.Step(xs, ys)
-		if i == 0 {
-			first = loss
-		}
-		last = loss
-	}
-	if last >= first/2 {
-		t.Fatalf("data-parallel training did not converge: %.4f -> %.4f", first, last)
-	}
-}
-
 func TestSplitBatchValidates(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -223,14 +158,4 @@ func TestSplitBatchValidates(t *testing.T) {
 	}()
 	x := tensor.New(10, 2)
 	SplitBatch(x, make([]int, 10), 3)
-}
-
-func TestCloneNetworkCopiesWeights(t *testing.T) {
-	mk := mlpConstructor(9)
-	src := mk()
-	src.Params()[0].Value.Fill(3.25)
-	clone := CloneNetwork(src, mlpConstructor(10))
-	if !tensor.Equal(clone.Params()[0].Value, src.Params()[0].Value, 0) {
-		t.Fatal("clone did not copy weights")
-	}
 }

@@ -221,6 +221,17 @@ func TestCheckpointRejectsMismatchedNetwork(t *testing.T) {
 	if _, err := LoadCheckpoint(bytes.NewBufferString("not a checkpoint"), net); err == nil {
 		t.Fatal("garbage must be rejected")
 	}
+	// Shape drift: same names and element counts, swapped dimensions.
+	// Both loaders must refuse it and leave the network untouched.
+	drifted := driftCheckpoint(t, adamCheckpoint(t, mlp(tensor.NewRNG(13))))
+	before := paramBits(net)
+	if _, err := LoadCheckpoint(bytes.NewReader(drifted), net); err == nil {
+		t.Fatal("LoadCheckpoint accepted a shape-drifted checkpoint")
+	}
+	if _, err := LoadCheckpointWithOptimizer(bytes.NewReader(drifted), net, optim.NewAdam(0.01)); err == nil {
+		t.Fatal("LoadCheckpointWithOptimizer accepted a shape-drifted checkpoint")
+	}
+	requireBitsUnchanged(t, net, before)
 }
 
 func TestGradientAccumulationMatchesFullBatch(t *testing.T) {
@@ -319,9 +330,12 @@ func TestCheckpointWithOptimizerExactAdamResume(t *testing.T) {
 	if err := SaveCheckpoint(&plain, phase1, 20); err != nil {
 		t.Fatal(err)
 	}
+	before := paramBits(resumed)
 	if _, err := LoadCheckpointWithOptimizer(&plain, resumed, optim.NewAdam(0.01)); err == nil {
 		t.Fatal("missing optimizer state must be rejected")
 	}
+	// The rejected load must not have overwritten the weights.
+	requireBitsUnchanged(t, resumed, before)
 }
 
 func TestLinearScalingRuleRecoversLargeBatchTraining(t *testing.T) {

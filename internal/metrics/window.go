@@ -6,26 +6,24 @@ import (
 	"time"
 )
 
-// RollingHistogram is a rotating view over a Histogram: observations land both in a
-// lifetime (cumulative) histogram and in a ring of time-sliced histograms,
-// and Snapshot merges the live slices into the distribution of roughly the
-// last (slices x sliceDur) of traffic. A long-running serving process needs
-// this split because lifetime quantiles converge to the steady state and
-// stop moving — useless as a control signal. The serving router steers on
-// Snapshot's recent p99 while /stats keeps reporting the cumulative view.
+// RollingHistogram is a rotating view over a Histogram: observations land in
+// a ring of time-sliced histograms, and Snapshot merges the live slices
+// into the distribution of roughly the last (slices x sliceDur) of
+// traffic. A long-running serving process needs this because lifetime
+// quantiles converge to the steady state and stop moving — useless as a
+// control signal. The serving router steers on Snapshot's recent p99
+// while /stats reports the lifetime view from its own histograms.
 //
 // Unlike Histogram, a RollingHistogram is safe for concurrent use: the router reads
 // snapshots while replica runners observe.
 type RollingHistogram struct {
 	mu sync.Mutex
 
-	slices     []*Histogram // ring of time slices; guarded by mu
-	cumulative *Histogram   // lifetime; guarded by mu
-	cur        int          // ring index of the active slice; guarded by mu
-	curEpoch   int64        // absolute slice number held by slices[cur]; guarded by mu
+	slices   []*Histogram // ring of time slices; guarded by mu
+	cur      int          // ring index of the active slice; guarded by mu
+	curEpoch int64        // absolute slice number held by slices[cur]; guarded by mu
 
 	sliceDur time.Duration
-	span     time.Duration
 	start    time.Time
 }
 
@@ -39,18 +37,15 @@ func NewRollingHistogram(proto *Histogram, sliceDur time.Duration, slices int) *
 	if sliceDur <= 0 {
 		panic(fmt.Sprintf("metrics: non-positive window slice duration %v", sliceDur))
 	}
-	cum := proto.Clone()
-	cum.Reset()
 	ring := make([]*Histogram, slices)
 	for i := range ring {
-		ring[i] = cum.Clone()
+		ring[i] = proto.Clone()
+		ring[i].Reset()
 	}
 	return &RollingHistogram{
-		slices:     ring,
-		cumulative: cum,
-		sliceDur:   sliceDur,
-		span:       sliceDur * time.Duration(slices),
-		start:      time.Now(),
+		slices:   ring,
+		sliceDur: sliceDur,
+		start:    time.Now(),
 	}
 }
 
@@ -90,8 +85,7 @@ func (w *RollingHistogram) rotate(now time.Time) {
 	w.cur = int(epoch % int64(len(w.slices)))
 }
 
-// Observe counts one value into the current slice and the cumulative
-// histogram.
+// Observe counts one value into the current slice.
 func (w *RollingHistogram) Observe(v float64) { w.ObserveAt(v, time.Now()) }
 
 // ObserveAt is Observe with an explicit clock, for deterministic tests.
@@ -99,7 +93,6 @@ func (w *RollingHistogram) ObserveAt(v float64, now time.Time) {
 	w.mu.Lock()
 	w.rotate(now)
 	w.slices[w.cur].Observe(v)
-	w.cumulative.Observe(v)
 	w.mu.Unlock()
 }
 
@@ -119,43 +112,3 @@ func (w *RollingHistogram) SnapshotAt(now time.Time) *Histogram {
 	}
 	return out
 }
-
-// SnapshotSince merges only the slices younger than age, bounding the
-// lookback tighter than the full window (age is rounded up to whole
-// slices; at least the active slice is always included).
-func (w *RollingHistogram) SnapshotSince(age time.Duration) *Histogram {
-	return w.snapshotSinceAt(age, time.Now())
-}
-
-func (w *RollingHistogram) snapshotSinceAt(age time.Duration, now time.Time) *Histogram {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.rotate(now)
-	keep := int64(1)
-	if age > 0 {
-		keep = int64((age + w.sliceDur - 1) / w.sliceDur)
-	}
-	if keep > int64(len(w.slices)) {
-		keep = int64(len(w.slices))
-	}
-	out := w.slices[w.cur].Clone()
-	for i := 1; int64(i) < keep; i++ {
-		idx := (w.cur - i) % len(w.slices)
-		if idx < 0 {
-			idx += len(w.slices)
-		}
-		out.Merge(w.slices[idx])
-	}
-	return out
-}
-
-// Cumulative returns a copy of the lifetime histogram (every observation
-// since the window was created, regardless of rotation).
-func (w *RollingHistogram) Cumulative() *Histogram {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.cumulative.Clone()
-}
-
-// Span returns the wall-clock width of the full window.
-func (w *RollingHistogram) Span() time.Duration { return w.span }

@@ -7,10 +7,11 @@ import (
 )
 
 // TestWindowRecentVsCumulative drives a Window through a simulated clock:
-// an early burst of slow observations must age out of Snapshot once the
-// ring rotates past it, while Cumulative keeps everything. This is the
-// property the serving router depends on — recent p99 as a control
-// signal, lifetime p99 as observability.
+// while both phases are inside the window, Snapshot holds the cumulative
+// distribution of everything observed so far; once the ring rotates past
+// the early burst of slow observations, only the recent phase remains.
+// This is the property the serving router depends on — recent p99 as a
+// control signal, not a lifetime average.
 func TestWindowRecentVsCumulative(t *testing.T) {
 	w := NewRollingHistogram(NewLatencyHistogram(), 100*time.Millisecond, 4)
 	t0 := w.start
@@ -43,13 +44,9 @@ func TestWindowRecentVsCumulative(t *testing.T) {
 		t.Fatalf("recent p99 %g after slow phase aged out, want ~1ms", p99)
 	}
 
-	// Cumulative never forgets.
-	cum := w.Cumulative()
-	if got := cum.Count(); got != 200 {
-		t.Fatalf("cumulative count = %d, want 200", got)
-	}
-	if p99 := cum.Quantile(0.99); p99 < 0.5 {
-		t.Fatalf("cumulative p99 %g lost the slow phase", p99)
+	// One slice later (epoch 7) the fast phase has aged out too.
+	if got := w.SnapshotAt(t0.Add(700 * time.Millisecond)).Count(); got != 0 {
+		t.Fatalf("window count after both phases aged out = %d, want 0", got)
 	}
 }
 
@@ -68,30 +65,10 @@ func TestWindowFullExpiry(t *testing.T) {
 	if got := w.SnapshotAt(t0.Add(500 * time.Millisecond)).Count(); got != 0 {
 		t.Fatalf("count after full expiry = %d, want 0", got)
 	}
-	if got := w.Cumulative().Count(); got != 10 {
-		t.Fatalf("cumulative count = %d, want 10", got)
-	}
-}
-
-// TestWindowSnapshotSince bounds the lookback to whole slices: only
-// observations younger than the given age (rounded up to a slice) are
-// merged.
-func TestWindowSnapshotSince(t *testing.T) {
-	w := NewRollingHistogram(NewLatencyHistogram(), 100*time.Millisecond, 8)
-	t0 := w.start
-	w.ObserveAt(1.0, t0.Add(10*time.Millisecond))   // epoch 0
-	w.ObserveAt(1.0, t0.Add(310*time.Millisecond))  // epoch 3
-	w.ObserveAt(1e-3, t0.Add(510*time.Millisecond)) // epoch 5
-
-	now := t0.Add(520 * time.Millisecond)
-	if got := w.snapshotSinceAt(100*time.Millisecond, now).Count(); got != 1 {
-		t.Fatalf("since 100ms: count = %d, want 1 (active slice only)", got)
-	}
-	if got := w.snapshotSinceAt(300*time.Millisecond, now).Count(); got != 2 {
-		t.Fatalf("since 300ms: count = %d, want 2", got)
-	}
-	if got := w.snapshotSinceAt(10*time.Second, now).Count(); got != 3 {
-		t.Fatalf("since 10s (clamped to window): count = %d, want 3", got)
+	// The emptied ring keeps counting from the new active slice.
+	w.ObserveAt(0.5, t0.Add(510*time.Millisecond))
+	if got := w.SnapshotAt(t0.Add(520 * time.Millisecond)).Count(); got != 1 {
+		t.Fatalf("count after observing into the emptied ring = %d, want 1", got)
 	}
 }
 
@@ -145,7 +122,9 @@ func TestHistogramCloneReset(t *testing.T) {
 // lock, so this must be race-clean without external serialization (the
 // fleet router reads snapshots while replica runners observe).
 func TestWindowConcurrent(t *testing.T) {
-	w := NewRollingLatencyHistogram(200 * time.Millisecond)
+	// An hour-wide window: no observation can age out during the test, so
+	// the final Snapshot must count every one.
+	w := NewRollingLatencyHistogram(time.Hour)
 	const writers = 4
 	const perWriter = 5000
 	var wg sync.WaitGroup
@@ -164,13 +143,11 @@ func TestWindowConcurrent(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 2000; j++ {
 				_ = w.Snapshot().Quantile(0.99)
-				_ = w.SnapshotSince(50 * time.Millisecond).Count()
-				_ = w.Cumulative().Mean()
 			}
 		}()
 	}
 	wg.Wait()
-	if got := w.Cumulative().Count(); got != writers*perWriter {
-		t.Fatalf("cumulative count = %d, want %d", got, writers*perWriter)
+	if got := w.Snapshot().Count(); got != writers*perWriter {
+		t.Fatalf("window count = %d, want %d", got, writers*perWriter)
 	}
 }

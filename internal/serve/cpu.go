@@ -7,20 +7,20 @@ import (
 	"tbd/internal/tensor"
 )
 
-// CPU budget guard: every Service runs batched forwards on the shared
-// tensor worker pool, so k concurrent services at parallelism p can put
-// k*p runnable worker goroutines on the scheduler. Oversubscribing
+// CPU budget guard: every fleet replica runs batched forwards on the
+// shared tensor worker pool, so k concurrent runners at parallelism p can
+// put k*p runnable worker goroutines on the scheduler. Oversubscribing
 // GOMAXPROCS that way doesn't crash, but it trades throughput for
 // context-switching and wrecks tail latency — exactly what a serving
 // process must not do. The guard divides the machine between active
-// services: while k services are open, the worker-pool parallelism is
+// runners: while k runners are open, the worker-pool parallelism is
 // clamped to min(userSetting, max(1, GOMAXPROCS/k)), and the user's
-// setting is restored when the last service closes.
+// setting is restored when the last runner closes.
 var cpuBudget struct {
 	mu     sync.Mutex
 	active int
-	// saved is the tensor parallelism observed when the first service
-	// opened; user calls to SetParallelism while services are running
+	// saved is the tensor parallelism observed when the first runner
+	// opened; user calls to SetParallelism while runners are open
 	// are overridden at the next open/close and otherwise ignored.
 	saved int
 }
@@ -58,8 +58,8 @@ func applyCPUBudgetLocked() {
 	tensor.SetParallelism(per)
 }
 
-// ActiveServices reports how many services currently share the CPU
-// budget (test and observability hook).
+// ActiveServices reports how many batch runners (fleet replicas)
+// currently share the CPU budget (test and observability hook).
 func ActiveServices() int {
 	cpuBudget.mu.Lock()
 	defer cpuBudget.mu.Unlock()

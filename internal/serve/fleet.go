@@ -16,6 +16,56 @@ import (
 	"tbd/internal/trace"
 )
 
+// Sentinel errors of the admission path.
+var (
+	// ErrOverloaded is returned when the admission queue is full; the
+	// request was shed without queueing (backpressure to the caller).
+	ErrOverloaded = errors.New("serve: overloaded, request shed")
+	// ErrShuttingDown is returned for requests arriving after Close
+	// began; already-admitted requests still complete (graceful drain).
+	ErrShuttingDown = errors.New("serve: shutting down")
+	// ErrDeadline is returned when a request's SLO budget cannot be met:
+	// either the router judged every replica infeasible at admission, or
+	// the deadline had already passed when the request was dequeued.
+	// Distinct from ErrOverloaded so clients can tell "queue full, retry
+	// now elsewhere" (429-class) from "deadline infeasible, back off"
+	// (503-class).
+	ErrDeadline = errors.New("serve: SLO deadline infeasible, request shed")
+	// ErrNoWeightSharing is returned by Session.ShareWeightsFrom when the
+	// model does not implement ShareParamsFrom; a fleet then keeps
+	// per-replica weight copies instead of one shared snapshot.
+	ErrNoWeightSharing = errors.New("serve: model does not support weight sharing")
+)
+
+// Result is one completed request.
+type Result struct {
+	// Output is the request's slice of the network output, copied out of
+	// the layer-owned batch result (safe to retain).
+	Output []float32
+	// Latency is the full request residence time: queue wait + batch
+	// formation wait + forward compute.
+	Latency time.Duration
+	// BatchSize is the occupancy of the batch this request rode in.
+	BatchSize int
+	// Replica is the index of the fleet replica that served the request.
+	Replica int
+}
+
+// request is one queued unit of work: a sample to serve, or (when swap
+// is set) a hot-swap control message riding the same FIFO.
+type request struct {
+	x        *tensor.Tensor
+	enq      time.Time
+	deadline time.Time  // zero means no SLO budget attached
+	swap     *swapOrder // non-nil marks a control message, not work
+	resp     chan response
+}
+
+type response struct {
+	res Result
+	err error
+}
+
 // Fleet is a replicated serving front end: N batch runners (one Session
 // and one goroutine each) behind a router. The replicas share one
 // read-only weight snapshot (Session.ShareWeightsFrom aliases every
@@ -50,8 +100,14 @@ type Fleet struct {
 	shared   bool // replicas alias one weight snapshot
 	start    time.Time
 
-	closing   atomic.Bool
-	producers sync.WaitGroup
+	closing atomic.Bool
+	// admitMu pairs producers (PredictSLO, submitSwap) with Close: a
+	// producer holds the read lock from its closing check through its
+	// enqueue, and Close takes the write lock once after setting closing,
+	// so no producer is still about to send on a queue Close then closes.
+	// A WaitGroup cannot do this: an Add from zero concurrent with Wait is
+	// misuse, and the race detector reports it.
+	admitMu   sync.RWMutex
 	closeOnce sync.Once
 
 	// swapMu serializes Swap calls; it is never held on the request path.
@@ -75,17 +131,21 @@ type Fleet struct {
 	traceDropped uint64      // guarded by traceMu
 }
 
-// FleetConfig tunes a Fleet. MaxBatch, MaxWait, and QueueDepth have the
-// same meaning as Config but apply per replica.
+// FleetConfig tunes a Fleet. MaxBatch, MaxWait, and QueueDepth apply
+// per replica.
 type FleetConfig struct {
 	// Replicas is the number of batch runners. Defaults to 1.
 	Replicas int
-	// MaxBatch caps how many requests one forward pass coalesces.
+	// MaxBatch caps how many requests one forward pass coalesces. 1
+	// disables batching (every request is its own forward).
 	MaxBatch int
-	// MaxWait bounds the batching delay of a batch's first request.
+	// MaxWait bounds the batching delay of a batch's first request. 0
+	// means flush immediately with whatever is already queued (no
+	// deadline timer).
 	MaxWait time.Duration
-	// QueueDepth bounds each replica's admission queue. Defaults to
-	// 4*MaxBatch.
+	// QueueDepth bounds each replica's admission queue; requests that
+	// find every feasible queue full are shed with ErrOverloaded instead
+	// of piling up unbounded latency. Defaults to 4*MaxBatch.
 	QueueDepth int
 	// SLO is the default latency budget attached to requests that do not
 	// carry one, and the router's p99 steering target: replicas whose
@@ -256,7 +316,8 @@ func (f *Fleet) Replicas() int { return len(f.replicas) }
 func (f *Fleet) Close() {
 	f.closeOnce.Do(func() {
 		f.closing.Store(true)
-		f.producers.Wait() // no producer is still about to enqueue
+		f.admitMu.Lock() // waits out every producer that saw closing == false
+		f.admitMu.Unlock()
 		for _, r := range f.replicas {
 			close(r.queue)
 		}
@@ -347,10 +408,10 @@ func (f *Fleet) Swap(load func(primary *Session) error) error {
 }
 
 // submitSwap enqueues a swap order behind the replica's pending work.
-// The producers guard pairs with Close exactly like Predict's.
+// The admission guard pairs with Close exactly like Predict's.
 func (f *Fleet) submitSwap(r *replica, ord *swapOrder) error {
-	f.producers.Add(1)
-	defer f.producers.Done()
+	f.admitMu.RLock()
+	defer f.admitMu.RUnlock()
 	if f.closing.Load() {
 		return ErrShuttingDown
 	}
@@ -385,10 +446,12 @@ func inferSessionSafe(s *Session, x *tensor.Tensor) (out *tensor.Tensor, err err
 	return s.InferBatch(x), nil
 }
 
-// run is the replica's batcher loop: identical batching policy to
-// Service.run, plus swap-order handling. A swap order seen mid-collect
-// closes the batch early; the batch is flushed through the old session
-// and the flip happens after (FIFO drain).
+// run is the replica's batcher loop: take one request, wait up to
+// MaxWait for the batch to fill (or, with no MaxWait, take only what is
+// already queued), flush, repeat; it exits when the queue is closed and
+// drained. A swap order seen mid-collect closes the batch early; the
+// batch is flushed through the old session and the flip happens after
+// (FIFO drain).
 func (r *replica) run() {
 	defer r.runnerWG.Done()
 	cfg := r.fleet.cfg

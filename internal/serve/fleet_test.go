@@ -33,44 +33,77 @@ func twinFleetFactory(t *testing.T, name string, seed uint64) (func() (*Session,
 // TestFleetBitIdenticalToSingleSample is the fleet's zero-tolerance
 // equality acceptance test: with weights shared across 4 replicas, every
 // routed result must be bit-identical to a single-sample forward on an
-// identically seeded reference network, whichever replica served it.
+// identically seeded reference network, whichever replica served it, for
+// a dense and a conv twin, serial and parallel. TestServeBitIdenticalToSingleSample
+// runs the same table on one replica, where every request rides the one
+// dynamic batcher.
 func TestFleetBitIdenticalToSingleSample(t *testing.T) {
+	forEachTwinAndParallelism(t, func(t *testing.T, factory func() (*Session, error), samples []*tensor.Tensor, want [][]float32) {
+		checkFleetMatches(t, factory, 4, samples, want)
+	})
+}
+
+// forEachTwinAndParallelism runs check as a subtest per serving twin
+// (dense "mlp", conv "resnet") and kernel parallelism (1, 4), handing it
+// a twin factory, 48 samples and each sample's single-sample forward on
+// an identically seeded reference network. Bit-identity across batch
+// sizes holds on the bit-exact kernel tier (the avx2/FMA tier routes
+// wide batches through 8x8 tiles and single samples through scalar code,
+// which agree only to ULP), so the tier is pinned; see gemm_tier_test.go
+// in internal/tensor for the FMA tier's own equivalence bounds.
+func forEachTwinAndParallelism(t *testing.T, check func(t *testing.T, factory func() (*Session, error), samples []*tensor.Tensor, want [][]float32)) {
+	t.Helper()
 	prevTier, err := tensor.SetGemmKernelTier(tensor.BitExactGemmTier())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tensor.SetGemmKernelTier(prevTier)
 
-	refNet, shape, err := models.ServeTwin("mlp", tensor.NewRNG(99))
-	if err != nil {
-		t.Fatal(err)
+	for _, par := range []int{1, 4} {
+		for _, twin := range []string{"mlp", "resnet"} {
+			t.Run(fmt.Sprintf("%s/par=%d", twin, par), func(t *testing.T) {
+				prev := tensor.SetParallelism(par)
+				defer tensor.SetParallelism(prev)
+
+				refNet, shape, err := models.ServeTwin(twin, tensor.NewRNG(99))
+				if err != nil {
+					t.Fatal(err)
+				}
+				const nReq = 48
+				rng := tensor.NewRNG(7)
+				samples := make([]*tensor.Tensor, nReq)
+				want := make([][]float32, nReq)
+				for i := range samples {
+					samples[i] = tensor.RandNormal(rng, 0, 1, shape...)
+					out := refNet.Infer(samples[i].Reshape(append([]int{1}, shape...)...))
+					want[i] = append([]float32(nil), out.Data()...)
+				}
+				factory, _ := twinFleetFactory(t, twin, 99)
+				check(t, factory, samples, want)
+			})
+		}
 	}
-	factory, _ := twinFleetFactory(t, "mlp", 99)
+}
+
+// checkFleetMatches serves samples through a fresh fleet and requires
+// every output to equal want bit for bit.
+func checkFleetMatches(t *testing.T, factory func() (*Session, error), replicas int, samples []*tensor.Tensor, want [][]float32) {
+	t.Helper()
 	f, err := NewFleet(factory, FleetConfig{
-		Replicas: 4, MaxBatch: 8, MaxWait: time.Millisecond, QueueDepth: 64,
+		Replicas: replicas, MaxBatch: 16, MaxWait: 2 * time.Millisecond, QueueDepth: len(samples),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if !f.SharedWeights() {
+	if replicas > 1 && !f.SharedWeights() {
 		t.Fatal("graph-backed fleet did not share weights")
 	}
 
-	const nReq = 64
-	rng := tensor.NewRNG(7)
-	samples := make([]*tensor.Tensor, nReq)
-	want := make([][]float32, nReq)
-	for i := range samples {
-		samples[i] = tensor.RandNormal(rng, 0, 1, shape...)
-		out := refNet.Infer(samples[i].Reshape(append([]int{1}, shape...)...))
-		want[i] = append([]float32(nil), out.Data()...)
-	}
-
-	results := make([]Result, nReq)
-	errs := make([]error, nReq)
+	results := make([]Result, len(samples))
+	errs := make([]error, len(samples))
 	var wg sync.WaitGroup
-	for i := 0; i < nReq; i++ {
+	for i := range samples {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -79,19 +112,27 @@ func TestFleetBitIdenticalToSingleSample(t *testing.T) {
 	}
 	wg.Wait()
 
-	for i := 0; i < nReq; i++ {
+	batched := false
+	for i := range samples {
 		if errs[i] != nil {
-			t.Fatalf("request %d: %v", i, errs[i])
+			t.Fatalf("replicas=%d request %d: %v", replicas, i, errs[i])
 		}
-		if results[i].Replica < 0 || results[i].Replica >= 4 {
-			t.Fatalf("request %d served by out-of-range replica %d", i, results[i].Replica)
+		if results[i].Replica < 0 || results[i].Replica >= replicas {
+			t.Fatalf("replicas=%d request %d served by out-of-range replica %d", replicas, i, results[i].Replica)
+		}
+		if len(results[i].Output) != len(want[i]) {
+			t.Fatalf("replicas=%d request %d: output len %d, want %d", replicas, i, len(results[i].Output), len(want[i]))
 		}
 		for j := range want[i] {
 			if results[i].Output[j] != want[i][j] {
-				t.Fatalf("request %d elem %d (replica %d): served %g, single-sample %g (must be bit-identical)",
-					i, j, results[i].Replica, results[i].Output[j], want[i][j])
+				t.Fatalf("replicas=%d request %d elem %d (replica %d): served %g, single-sample %g (must be bit-identical)",
+					replicas, i, j, results[i].Replica, results[i].Output[j], want[i][j])
 			}
 		}
+		batched = batched || results[i].BatchSize > 1
+	}
+	if replicas == 1 && !batched {
+		t.Fatal("no request rode in a batch > 1; the batched path was not exercised")
 	}
 }
 
@@ -413,7 +454,7 @@ func TestFleetGracefulDrain(t *testing.T) {
 			errc <- err
 		}()
 	}
-	time.Sleep(time.Millisecond)
+	waitAdmitted(t, f)
 	f.Close()
 	wg.Wait()
 	close(errc)

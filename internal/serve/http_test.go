@@ -21,12 +21,14 @@ func postPredict(t *testing.T, srv *httptest.Server, input []float32) *http.Resp
 	return resp
 }
 
+// TestHTTPHandler pins the wire contract of a one-replica fleet: echo
+// on the happy path, 400 for a wrong-size sample, 405 for GET /predict,
+// and /stats and /healthz payloads.
 func TestHTTPHandler(t *testing.T) {
-	svc := New(NewSession(identityModel{}, 4), Config{
+	f := oneReplica(t, identityModel{}, 4, FleetConfig{
 		MaxBatch: 4, MaxWait: time.Millisecond, QueueDepth: 32,
 	})
-	defer svc.Close()
-	srv := httptest.NewServer(NewHandler(svc))
+	srv := httptest.NewServer(NewFleetHandler(f, FleetHandlerOptions{}))
 	defer srv.Close()
 
 	// Happy path echoes the input.
@@ -68,7 +70,7 @@ func TestHTTPHandler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snap StatsSnapshot
+	var snap FleetSnapshot
 	if err := json.NewDecoder(stResp.Body).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
@@ -98,9 +100,8 @@ func TestHTTPHandler(t *testing.T) {
 // TestHTTPDebugProf exercises the live-profiler endpoint: with capture on,
 // a served batch must surface as a serve-category row in the snapshot.
 func TestHTTPDebugProf(t *testing.T) {
-	svc := New(NewSession(identityModel{}, 4), Config{MaxBatch: 4})
-	defer svc.Close()
-	srv := httptest.NewServer(NewHandler(svc))
+	f := oneReplica(t, identityModel{}, 4, FleetConfig{MaxBatch: 4})
+	srv := httptest.NewServer(NewFleetHandler(f, FleetHandlerOptions{}))
 	defer srv.Close()
 
 	prof.Enable()
@@ -122,21 +123,22 @@ func TestHTTPDebugProf(t *testing.T) {
 	}
 	found := false
 	for _, k := range snap.Kernels {
-		if k.Name == "serve.batch" && k.Cat == "serve" && k.Count >= 1 {
+		if k.Name == "serve.r0.batch" && k.Cat == "serve" && k.Count >= 1 {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("no serve.batch row in /debug/prof: %+v", snap.Kernels)
+		t.Fatalf("no serve.r0.batch row in /debug/prof: %+v", snap.Kernels)
 	}
 }
 
+// TestHTTPHandlerShutdown: /predict on a closed fleet is 503.
 func TestHTTPHandlerShutdown(t *testing.T) {
-	svc := New(NewSession(identityModel{}, 4), Config{MaxBatch: 4})
-	srv := httptest.NewServer(NewHandler(svc))
+	f := oneReplica(t, identityModel{}, 4, FleetConfig{MaxBatch: 4})
+	srv := httptest.NewServer(NewFleetHandler(f, FleetHandlerOptions{}))
 	defer srv.Close()
 
-	svc.Close()
+	f.Close()
 	resp := postPredict(t, srv, []float32{1, 2, 3, 4})
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {

@@ -49,9 +49,9 @@ func (f *Fleet) PredictSLO(x *tensor.Tensor, budget time.Duration) (Result, erro
 		return Result{}, fmt.Errorf("serve: sample has %d elements, want %d (shape %v)",
 			got, primary.sampleLen, primary.sampleShape)
 	}
-	f.producers.Add(1)
+	f.admitMu.RLock()
 	if f.closing.Load() {
-		f.producers.Done()
+		f.admitMu.RUnlock()
 		f.rejShutdown.Add(1)
 		return Result{}, ErrShuttingDown
 	}
@@ -61,7 +61,7 @@ func (f *Fleet) PredictSLO(x *tensor.Tensor, budget time.Duration) (Result, erro
 		req.deadline = now.Add(budget)
 	}
 	r, err := f.route(req, budget)
-	f.producers.Done()
+	f.admitMu.RUnlock()
 	if err != nil {
 		return Result{}, err
 	}

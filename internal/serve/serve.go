@@ -9,20 +9,21 @@
 // histograms behind, so the throughput-vs-latency trade can be measured
 // rather than guessed.
 //
-// Architecture (one Service):
+// Architecture (a Fleet of one or more replicas):
 //
-//	clients ──Predict──▶ bounded queue ──▶ runner goroutine ──▶ Session.InferBatch
-//	   ▲                  (admission         (dynamic               (frozen network,
-//	   └──── per-request   control:           micro-batcher:         fused kernels,
-//	         results       shed load          coalesce ≤ MaxBatch    pooled buffers)
-//	         in order)     when full)         or flush at MaxWait)
+//	clients ──Predict──▶ router ──▶ bounded queue ──▶ runner goroutine ──▶ Session.InferBatch
+//	   ▲                 (SLO-      (admission         (dynamic               (frozen network,
+//	   └──── per-request  aware      control:           micro-batcher:         fused kernels,
+//	         results      replica    shed load          coalesce ≤ MaxBatch    shared weights)
+//	         in order)    choice)    when full)         or flush at MaxWait)
 //
 // Layers recycle their output buffers across forward calls, so a network
-// is single-goroutine property; the Service owns one Session and one
-// runner goroutine, and concurrency comes from batching, not from racing
-// forwards. Multiple Services may run side by side (one network each);
-// the package clamps the shared GEMM worker pool so the combined
-// parallelism never oversubscribes GOMAXPROCS.
+// is single-goroutine property: each replica owns one Session and one
+// runner goroutine, and concurrency comes from batching and replication,
+// not from racing forwards. A one-replica Fleet is the plain dynamic
+// batcher. Replicas alias one weight snapshot, and the package clamps
+// the shared GEMM worker pool so the combined parallelism of every open
+// runner never oversubscribes GOMAXPROCS.
 package serve
 
 import (
@@ -40,7 +41,7 @@ type Model interface {
 // Session is a frozen, forward-only inference session over a network.
 // It carries no optimizer state and never stashes feature maps (all
 // forwards run with train=false). A Session is not safe for concurrent
-// use — the owning Service serializes batches onto it.
+// use — the owning fleet replica serializes batches onto it.
 type Session struct {
 	model       Model
 	sampleShape []int

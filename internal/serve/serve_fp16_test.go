@@ -12,24 +12,30 @@ import (
 	"tbd/internal/tensor"
 )
 
-// serveAll pushes the samples through a fresh service over sess with the
-// profiler capturing, and returns the per-request outputs (indexed like
-// samples) plus the memory watermark of the run. The shared pool is
-// drained first so the workspace watermark reflects only this run's pack
-// scratch.
-func serveAll(t *testing.T, sess *Session, samples []*tensor.Tensor) ([][]float32, prof.MemWatermark) {
+// serveAll pushes the samples through a fresh one-replica fleet over the
+// mlp twin (fp16-frozen when half is set) with the profiler capturing,
+// and returns the per-request outputs (indexed like samples), the
+// fleet's resident weight bytes, and the memory watermark of the run.
+// The shared pool is drained first so the workspace watermark reflects
+// only this run's pack scratch.
+func serveAll(t *testing.T, half bool, samples []*tensor.Tensor) ([][]float32, int64, prof.MemWatermark) {
 	t.Helper()
 	tensor.SetPooling(false)
 	tensor.SetPooling(true)
 	prof.Enable()
 	defer prof.Disable()
 
-	svc := New(sess, Config{
-		MaxBatch:   16,
-		MaxWait:    2 * time.Millisecond,
-		QueueDepth: len(samples),
+	factory, _ := twinFleetFactory(t, "mlp", 99)
+	f, err := NewFleet(factory, FleetConfig{
+		MaxBatch:    16,
+		MaxWait:     2 * time.Millisecond,
+		QueueDepth:  len(samples),
+		HalfWeights: half,
 	})
-	defer svc.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
 
 	outs := make([][]float32, len(samples))
 	var wg sync.WaitGroup
@@ -38,7 +44,7 @@ func serveAll(t *testing.T, sess *Session, samples []*tensor.Tensor) ([][]float3
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := svc.Predict(samples[i])
+			res, err := f.Predict(samples[i])
 			if err != nil {
 				errs[i] = err
 				return
@@ -52,42 +58,23 @@ func serveAll(t *testing.T, sess *Session, samples []*tensor.Tensor) ([][]float3
 			t.Fatalf("request %d: %v", i, err)
 		}
 	}
-	svc.Close() // freeze the capture before reading the watermark
-	return outs, prof.Watermark()
+	weightBytes := f.Stats().WeightBytes
+	f.Close() // freeze the capture before reading the watermark
+	return outs, weightBytes, prof.Watermark()
 }
 
-// TestServeHalfWeights is the fp16-serving acceptance test: freezing a
-// session's weights to half storage must (1) roughly halve the resident
-// weight bytes as reported by Session.WeightBytes and the profiler's
-// live watermark, (2) shrink the pack workspace watermark when the
+// TestServeHalfWeights is the fp16-serving acceptance test: a fleet with
+// FleetConfig.HalfWeights must (1) roughly halve the resident weight
+// bytes as reported by the fleet's stats and the profiler's live
+// watermark, (2) shrink the pack workspace watermark when the
 // native fp16 kernel path is available (the B panels pack as uint16),
 // and (3) keep every served output within the fp16 weight-quantization
-// tolerance of the full-precision session's answer.
+// tolerance of the full-precision fleet's answer.
 func TestServeHalfWeights(t *testing.T) {
-	fullNet, shape, err := models.ServeTwin("mlp", tensor.NewRNG(99))
+	_, shape, err := models.ServeTwin("mlp", tensor.NewRNG(99))
 	if err != nil {
 		t.Fatal(err)
 	}
-	halfNet, _, err := models.ServeTwin("mlp", tensor.NewRNG(99))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fullSess := NewSession(fullNet, shape...)
-	halfSess := NewSession(halfNet, shape...)
-
-	fullBytes := fullSess.WeightBytes()
-	if fullBytes <= 0 {
-		t.Fatal("full-precision session reports no weight bytes")
-	}
-	if !halfSess.FreezeHalfWeights() {
-		t.Fatal("FreezeHalfWeights returned false for an all-dense twin")
-	}
-	halfBytes := halfSess.WeightBytes()
-	if halfBytes <= 0 || halfBytes > fullBytes*55/100 {
-		t.Fatalf("frozen weights %d bytes, want (0, %d] (55%% of full %d)",
-			halfBytes, fullBytes*55/100, fullBytes)
-	}
-
 	const nReq = 48
 	rng := tensor.NewRNG(7)
 	samples := make([]*tensor.Tensor, nReq)
@@ -95,8 +82,15 @@ func TestServeHalfWeights(t *testing.T) {
 		samples[i] = tensor.RandNormal(rng, 0, 1, shape...)
 	}
 
-	fullOuts, fullW := serveAll(t, fullSess, samples)
-	halfOuts, halfW := serveAll(t, halfSess, samples)
+	fullOuts, fullBytes, fullW := serveAll(t, false, samples)
+	halfOuts, halfBytes, halfW := serveAll(t, true, samples)
+	if fullBytes <= 0 {
+		t.Fatal("full-precision fleet reports no weight bytes")
+	}
+	if halfBytes <= 0 || halfBytes > fullBytes*55/100 {
+		t.Fatalf("frozen weights %d bytes, want (0, %d] (55%% of full %d)",
+			halfBytes, fullBytes*55/100, fullBytes)
+	}
 
 	// Per-request output tolerance: fp16 weight quantization perturbs each
 	// weight by at most 2^-11 relative, so logits agree to a mixed
@@ -121,8 +115,8 @@ func TestServeHalfWeights(t *testing.T) {
 	}
 	t.Logf("worst fp16/fp32 output divergence: %.2e (bound rel=%g abs=%g)", worst, relTol, absTol)
 
-	// The watermark's weights category is fed from Session.WeightBytes on
-	// every flushed batch, so ProfileLive must attribute exactly the
+	// The watermark's weights category is fed from the fleet's resident
+	// weight bytes on every flushed batch, so ProfileLive must attribute exactly the
 	// resident footprint — halved for the frozen run.
 	fb, hb := memprof.ProfileLive(fullW), memprof.ProfileLive(halfW)
 	if fullW.Samples == 0 || halfW.Samples == 0 {

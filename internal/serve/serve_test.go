@@ -2,14 +2,12 @@ package serve
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"tbd/internal/models"
 	"tbd/internal/tensor"
 )
 
@@ -39,94 +37,42 @@ func (panicModel) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	panic("bad input")
 }
 
-// TestServeBitIdenticalToSingleSample is the zero-tolerance equality
-// acceptance test: every result served through the dynamic batcher must
-// be bit-identical to a single-sample forward pass on an identically
-// seeded network, for both a dense and a conv twin, serial and parallel.
-// Bit-identity across batch sizes holds on the bit-exact kernel tier
-// (the avx2/FMA tier routes wide batches through 8x8 tiles and single
-// samples through scalar code, which agree only to ULP), so the test
-// pins that tier; see gemm_tier_test.go in internal/tensor for the FMA
-// tier's own equivalence bounds.
-func TestServeBitIdenticalToSingleSample(t *testing.T) {
-	prevTier, err := tensor.SetGemmKernelTier(tensor.BitExactGemmTier())
+// oneReplica starts a one-replica fleet over m — the plain dynamic
+// batcher — and closes it when the test ends.
+func oneReplica(t *testing.T, m Model, sampleLen int, cfg FleetConfig) *Fleet {
+	t.Helper()
+	cfg.Replicas = 1
+	f, err := NewFleet(func() (*Session, error) { return NewSession(m, sampleLen), nil }, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tensor.SetGemmKernelTier(prevTier)
-	type twin struct {
-		name  string
-		shape []int
-	}
-	for _, par := range []int{1, 4} {
-		for _, tw := range []twin{{"mlp", []int{256}}, {"resnet", []int{3, 16, 16}}} {
-			t.Run(fmt.Sprintf("%s/par=%d", tw.name, par), func(t *testing.T) {
-				prev := tensor.SetParallelism(par)
-				defer tensor.SetParallelism(prev)
+	t.Cleanup(f.Close)
+	return f
+}
 
-				refNet, _, err := models.ServeTwin(tw.name, tensor.NewRNG(99))
-				if err != nil {
-					t.Fatal(err)
-				}
-				srvNet, shape, err := models.ServeTwin(tw.name, tensor.NewRNG(99))
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				const nReq = 48
-				rng := tensor.NewRNG(7)
-				samples := make([]*tensor.Tensor, nReq)
-				want := make([][]float32, nReq)
-				for i := range samples {
-					samples[i] = tensor.RandNormal(rng, 0, 1, shape...)
-					one := samples[i].Reshape(append([]int{1}, shape...)...)
-					out := refNet.Infer(one)
-					want[i] = append([]float32(nil), out.Data()...)
-				}
-
-				svc := New(NewSession(srvNet, shape...), Config{
-					MaxBatch:   16,
-					MaxWait:    2 * time.Millisecond,
-					QueueDepth: nReq,
-				})
-				defer svc.Close()
-
-				var wg sync.WaitGroup
-				results := make([]Result, nReq)
-				errs := make([]error, nReq)
-				for i := 0; i < nReq; i++ {
-					wg.Add(1)
-					go func(i int) {
-						defer wg.Done()
-						results[i], errs[i] = svc.Predict(samples[i])
-					}(i)
-				}
-				wg.Wait()
-
-				var batched bool
-				for i := 0; i < nReq; i++ {
-					if errs[i] != nil {
-						t.Fatalf("request %d: %v", i, errs[i])
-					}
-					if len(results[i].Output) != len(want[i]) {
-						t.Fatalf("request %d: output len %d, want %d", i, len(results[i].Output), len(want[i]))
-					}
-					for j := range want[i] {
-						if results[i].Output[j] != want[i][j] {
-							t.Fatalf("request %d elem %d: served %g, single-sample %g (must be bit-identical)",
-								i, j, results[i].Output[j], want[i][j])
-						}
-					}
-					if results[i].BatchSize > 1 {
-						batched = true
-					}
-				}
-				if !batched {
-					t.Fatal("no request rode in a batch > 1; the batched path was not exercised")
-				}
-			})
+// waitAdmitted blocks until f has admitted at least one request, so a
+// drain test closes a fleet that has work in it rather than racing the
+// scheduler with a fixed sleep.
+func waitAdmitted(t *testing.T, f *Fleet) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for f.Stats().Accepted == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no request admitted within 2s")
 		}
+		time.Sleep(100 * time.Microsecond)
 	}
+}
+
+// TestServeBitIdenticalToSingleSample is the zero-tolerance equality
+// acceptance test for the plain dynamic batcher: on a one-replica fleet,
+// every result must be bit-identical to a single-sample forward pass on
+// an identically seeded network, for a dense and a conv twin, serial and
+// parallel, and some request must ride in a batch > 1.
+func TestServeBitIdenticalToSingleSample(t *testing.T) {
+	forEachTwinAndParallelism(t, func(t *testing.T, factory func() (*Session, error), samples []*tensor.Tensor, want [][]float32) {
+		checkFleetMatches(t, factory, 1, samples, want)
+	})
 }
 
 // TestServeResultsMatchRequests pins per-request routing: with every
@@ -134,17 +80,16 @@ func TestServeBitIdenticalToSingleSample(t *testing.T) {
 // request's payload regardless of how requests interleave into batches.
 func TestServeResultsMatchRequests(t *testing.T) {
 	const nReq = 128
-	svc := New(NewSession(identityModel{}, 8), Config{
+	f := oneReplica(t, identityModel{}, 8, FleetConfig{
 		MaxBatch: 8, MaxWait: time.Millisecond, QueueDepth: nReq,
 	})
-	defer svc.Close()
 	var wg sync.WaitGroup
 	for i := 0; i < nReq; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			x := tensor.Full(float32(i), 8)
-			res, err := svc.Predict(x)
+			res, err := f.Predict(x)
 			if err != nil {
 				t.Errorf("request %d: %v", i, err)
 				return
@@ -164,10 +109,9 @@ func TestServeResultsMatchRequests(t *testing.T) {
 // and checks that excess load is shed with ErrOverloaded rather than
 // queued without bound.
 func TestServeAdmissionControl(t *testing.T) {
-	svc := New(NewSession(&slowModel{delay: 5 * time.Millisecond}, 4), Config{
+	f := oneReplica(t, &slowModel{delay: 5 * time.Millisecond}, 4, FleetConfig{
 		MaxBatch: 1, QueueDepth: 1,
 	})
-	defer svc.Close()
 
 	const nReq = 32
 	var shed, ok atomic.Int64
@@ -176,7 +120,7 @@ func TestServeAdmissionControl(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := svc.Predict(tensor.New(4))
+			_, err := f.Predict(tensor.New(4))
 			switch {
 			case err == nil:
 				ok.Add(1)
@@ -194,7 +138,7 @@ func TestServeAdmissionControl(t *testing.T) {
 	if ok.Load() == 0 {
 		t.Fatal("expected some requests to be served under overload")
 	}
-	snap := svc.Stats()
+	snap := f.Stats()
 	if snap.RejectedOverload != uint64(shed.Load()) {
 		t.Fatalf("stats rejected=%d, want %d", snap.RejectedOverload, shed.Load())
 	}
@@ -210,7 +154,7 @@ func TestServeGracefulDrain(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	m := &slowModel{delay: 2 * time.Millisecond}
-	svc := New(NewSession(m, 4), Config{MaxBatch: 4, MaxWait: time.Millisecond, QueueDepth: 64})
+	f := oneReplica(t, m, 4, FleetConfig{MaxBatch: 4, MaxWait: time.Millisecond, QueueDepth: 64})
 
 	const nReq = 24
 	var wg sync.WaitGroup
@@ -219,14 +163,14 @@ func TestServeGracefulDrain(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := svc.Predict(tensor.New(4))
+			_, err := f.Predict(tensor.New(4))
 			errc <- err
 		}()
 	}
 	// Let some requests get admitted, then close concurrently with the
 	// rest still arriving.
-	time.Sleep(time.Millisecond)
-	svc.Close()
+	waitAdmitted(t, f)
+	f.Close()
 	wg.Wait()
 	close(errc)
 
@@ -249,11 +193,11 @@ func TestServeGracefulDrain(t *testing.T) {
 	}
 
 	// Post-close requests are refused outright.
-	if _, err := svc.Predict(tensor.New(4)); !errors.Is(err, ErrShuttingDown) {
+	if _, err := f.Predict(tensor.New(4)); !errors.Is(err, ErrShuttingDown) {
 		t.Fatalf("Predict after Close = %v, want ErrShuttingDown", err)
 	}
 	// Close is idempotent.
-	svc.Close()
+	f.Close()
 
 	// The runner goroutine must be gone. Allow the scheduler a moment.
 	deadline := time.Now().Add(2 * time.Second)
@@ -269,13 +213,12 @@ func TestServeGracefulDrain(t *testing.T) {
 // TestServeMaxWaitFlushesPartialBatch: a lone request must not wait for
 // a full batch — the deadline flushes it.
 func TestServeMaxWaitFlushesPartialBatch(t *testing.T) {
-	svc := New(NewSession(identityModel{}, 2), Config{
+	f := oneReplica(t, identityModel{}, 2, FleetConfig{
 		MaxBatch: 64, MaxWait: 5 * time.Millisecond, QueueDepth: 64,
 	})
-	defer svc.Close()
 
 	start := time.Now()
-	res, err := svc.Predict(tensor.Full(3, 2))
+	res, err := f.Predict(tensor.Full(3, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,29 +232,27 @@ func TestServeMaxWaitFlushesPartialBatch(t *testing.T) {
 
 // TestServeShapeValidation rejects wrong-size samples before queueing.
 func TestServeShapeValidation(t *testing.T) {
-	svc := New(NewSession(identityModel{}, 4), Config{MaxBatch: 4})
-	defer svc.Close()
-	if _, err := svc.Predict(tensor.New(5)); err == nil {
+	f := oneReplica(t, identityModel{}, 4, FleetConfig{MaxBatch: 4})
+	if _, err := f.Predict(tensor.New(5)); err == nil {
 		t.Fatal("wrong-size sample must be rejected")
 	}
-	if _, err := svc.Predict(nil); err == nil {
+	if _, err := f.Predict(nil); err == nil {
 		t.Fatal("nil sample must be rejected")
 	}
 }
 
 // TestServeForwardPanicFailsBatch: a panicking forward pass must fail
-// the batch's requests with an error, not kill the service.
+// the batch's requests with an error, not kill the replica.
 func TestServeForwardPanicFailsBatch(t *testing.T) {
-	svc := New(NewSession(panicModel{}, 2), Config{MaxBatch: 4, QueueDepth: 8})
-	defer svc.Close()
-	if _, err := svc.Predict(tensor.New(2)); err == nil {
+	f := oneReplica(t, panicModel{}, 2, FleetConfig{MaxBatch: 4, QueueDepth: 8})
+	if _, err := f.Predict(tensor.New(2)); err == nil {
 		t.Fatal("panicking forward must surface as an error")
 	}
-	// The service survives and keeps answering.
-	if _, err := svc.Predict(tensor.New(2)); err == nil {
+	// The replica survives and keeps answering.
+	if _, err := f.Predict(tensor.New(2)); err == nil {
 		t.Fatal("second request should also error, not hang")
 	}
-	if snap := svc.Stats(); snap.Failed == 0 {
+	if snap := f.Stats(); snap.Failed == 0 {
 		t.Fatal("failed requests not counted")
 	}
 }
@@ -320,10 +261,9 @@ func TestServeForwardPanicFailsBatch(t *testing.T) {
 // up, latency quantiles are populated, occupancy reflects batching, and
 // batch trace events are exported.
 func TestServeStatsAndTrace(t *testing.T) {
-	svc := New(NewSession(identityModel{}, 4), Config{
+	f := oneReplica(t, identityModel{}, 4, FleetConfig{
 		MaxBatch: 8, MaxWait: time.Millisecond, QueueDepth: 128, TraceEvents: 1024,
 	})
-	defer svc.Close()
 
 	const nReq = 96
 	var wg sync.WaitGroup
@@ -331,14 +271,14 @@ func TestServeStatsAndTrace(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := svc.Predict(tensor.New(4)); err != nil {
+			if _, err := f.Predict(tensor.New(4)); err != nil {
 				t.Error(err)
 			}
 		}()
 	}
 	wg.Wait()
 
-	snap := svc.Stats()
+	snap := f.Stats()
 	if snap.Accepted != nReq || snap.Completed != nReq {
 		t.Fatalf("accepted=%d completed=%d, want %d", snap.Accepted, snap.Completed, nReq)
 	}
@@ -351,11 +291,11 @@ func TestServeStatsAndTrace(t *testing.T) {
 	if snap.LatencyP50Ms <= 0 || snap.LatencyP99Ms < snap.LatencyP50Ms {
 		t.Fatalf("latency quantiles inconsistent: p50=%g p99=%g", snap.LatencyP50Ms, snap.LatencyP99Ms)
 	}
-	if h := svc.LatencyHistogram(); h.Count() != nReq {
+	if h := f.LatencyHistogram(); h.Count() != nReq {
 		t.Fatalf("latency histogram count=%d, want %d", h.Count(), nReq)
 	}
 
-	tl := svc.Timeline()
+	tl := f.Timeline()
 	if len(tl.Events) == 0 {
 		t.Fatal("no trace events captured")
 	}
@@ -367,9 +307,9 @@ func TestServeStatsAndTrace(t *testing.T) {
 	}
 }
 
-// TestServeCPUBudgetClamp: concurrent services must divide GOMAXPROCS
-// between them instead of multiplying the worker pool, and the user's
-// parallelism setting must come back when the last service closes.
+// TestServeCPUBudgetClamp: concurrent fleets must divide GOMAXPROCS
+// between their runners instead of multiplying the worker pool, and the
+// user's parallelism setting must come back when the last fleet closes.
 func TestServeCPUBudgetClamp(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
 	want := 8
@@ -380,9 +320,9 @@ func TestServeCPUBudgetClamp(t *testing.T) {
 	defer tensor.SetParallelism(prev)
 	base := tensor.Parallelism()
 
-	var svcs []*Service
+	var fleets []*Fleet
 	for i := 1; i <= 4; i++ {
-		svcs = append(svcs, New(NewSession(identityModel{}, 2), Config{MaxBatch: 2}))
+		fleets = append(fleets, oneReplica(t, identityModel{}, 2, FleetConfig{MaxBatch: 2}))
 		got := tensor.Parallelism()
 		limit := procs / i
 		if limit < 1 {
@@ -392,13 +332,13 @@ func TestServeCPUBudgetClamp(t *testing.T) {
 			limit = base
 		}
 		if got > limit {
-			t.Fatalf("with %d services, parallelism=%d exceeds budget %d (GOMAXPROCS=%d)", i, got, limit, procs)
+			t.Fatalf("with %d fleets, parallelism=%d exceeds budget %d (GOMAXPROCS=%d)", i, got, limit, procs)
 		}
 	}
 	if ActiveServices() != 4 {
 		t.Fatalf("ActiveServices=%d, want 4", ActiveServices())
 	}
-	for _, s := range svcs {
+	for _, s := range fleets {
 		s.Close()
 	}
 	if got := tensor.Parallelism(); got != base {
@@ -410,16 +350,15 @@ func TestServeCPUBudgetClamp(t *testing.T) {
 }
 
 // TestServeLoadGen drives the closed-loop generator against a real
-// service and checks its accounting.
+// one-replica fleet and checks its accounting.
 func TestServeLoadGen(t *testing.T) {
-	svc := New(NewSession(identityModel{}, 4), Config{
+	f := oneReplica(t, identityModel{}, 4, FleetConfig{
 		MaxBatch: 8, MaxWait: 500 * time.Microsecond, QueueDepth: 64,
 	})
-	defer svc.Close()
 
 	x := tensor.New(4)
 	res := LoadGen{Concurrency: 4, Duration: 100 * time.Millisecond}.Run(func(w int) error {
-		_, err := svc.Predict(x)
+		_, err := f.Predict(x)
 		return err
 	})
 	if res.Requests == 0 {

@@ -113,10 +113,10 @@ type StatsSnapshot struct {
 	ThroughputRPS float64 `json:"throughput_rps"`
 
 	// GemmTier is the active GEMM micro-kernel tier (ref, sse, avx2),
-	// filled in by Service.Stats.
+	// filled in by Fleet.Stats.
 	GemmTier string `json:"gemm_tier,omitempty"`
 	// WeightBytes is the model's resident weight footprint (0 when the
-	// model does not expose one), filled in by Service.Stats.
+	// model does not expose one), filled in by Fleet.Stats.
 	WeightBytes int64 `json:"weight_bytes,omitempty"`
 }
 
@@ -189,7 +189,7 @@ func aggregateStats(parts []*Stats) *Stats {
 }
 
 // LatencyHistogram returns a copy of the request-latency histogram for
-// callers that want full bucket detail (merging across services, trace
+// callers that want full bucket detail (merging across replicas, trace
 // annotation).
 func (st *Stats) LatencyHistogram() *metrics.Histogram {
 	st.mu.Lock()
