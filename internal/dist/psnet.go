@@ -1,73 +1,111 @@
 package dist
 
 import (
-	"encoding/gob"
+	"bufio"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
+	"math"
 	"net"
 	"sync"
 
 	"tbd/internal/layers"
 	"tbd/internal/optim"
 	"tbd/internal/prof"
-	"tbd/internal/tensor"
 )
 
-// A real parameter server over TCP (stdlib net + gob), the multi-machine
-// data-parallel scheme of §2.2/§4.5 (Li et al.): workers pull the current
-// weights, compute gradients on their shard, and push them back; the
-// server averages one push per worker, applies the optimizer, and
-// releases the next round. Ranked pushes are buffered per worker and
-// reduced in rank order, so a synchronous N-worker run is not only
-// numerically equivalent to one big-batch replica but reproducible
-// bit-for-bit run to run — the same determinism discipline the ring
-// all-reduce keeps via its fixed hop order.
+// A real parameter server over TCP (stdlib net + wire.go binary
+// frames), the multi-machine data-parallel scheme of §2.2/§4.5 (Li et
+// al.): workers pull the current weights, compute gradients on their
+// shard, and push them back; the server averages one push per worker,
+// applies the optimizer, and releases the next round. Ranked pushes are
+// buffered per worker and reduced in rank order, so a synchronous
+// N-worker run is not only numerically equivalent to one big-batch
+// replica but reproducible bit-for-bit run to run — the same
+// determinism discipline the ring all-reduce keeps via its fixed hop
+// order.
+//
+// Every message is one little-endian frame, so a round trip moves the
+// raw tensor bytes plus a small header and nothing else:
+//
+//	request: kind u8 | ranked u8 | rank i32 | count u32 | count × len u32 | payload
+//	reply:   version i64 | errlen u32 | err | count u32 | count × len u32 | fp32 payload
+//
+// A request payload holds each tensor as fp32 (kindPush, 4 B/elem),
+// fp16 (kindPush16, 2 B/elem), or a float32 scale then int8 levels
+// (kindPush8, 1 B/elem); a pull carries no tensors. The server bounds
+// every length by its own parameter sizes before it allocates. A frame
+// over that bound, or of an unknown kind, is answered with a frameError
+// naming the kind and byte offset, and the connection is closed. A push
+// within the bound but of the wrong shape is read to its end and
+// answered with an error, and the connection stays usable.
 
 // The parameter-server request vocabulary. Wirecheck holds every kind
 // to both sides of the protocol: a kind encoded by the client but
 // missing from the server's decode switch would be silently rejected as
-// unknown — the classic skew bug of hand-rolled protocols.
+// unknown — the classic skew bug of hand-rolled protocols. Zero is not
+// a kind, so an all-zero frame is rejected.
 //
 //tbd:wire-kinds
 const (
-	kindPull   = "pull"
-	kindPush   = "push"   // full-precision gradients
-	kindPush16 = "push16" // fp16-compressed gradients
-	kindPush8  = "push8"  // int8-quantized gradients
+	kindPull   byte = 0x01
+	kindPush   byte = 0x02 // full-precision gradients
+	kindPush16 byte = 0x03 // fp16-compressed gradients
+	kindPush8  byte = 0x04 // int8-quantized gradients, one scale per tensor
 )
 
-// psRequest is one worker->server message.
-type psRequest struct {
-	// Kind is kindPull, kindPush, kindPush16 (fp16 gradients), or
-	// kindPush8 (int8-quantized gradients).
-	Kind  string
-	Grads [][]float32
-	// HalfGrads carries fp16-compressed gradients for "push16" — half
-	// the wire bytes of a full-precision push (§4.5: reduce the data
-	// sent).
-	HalfGrads [][]uint16
-	// Int8Grads and Scales carry linearly quantized gradients for
-	// "push8" (one byte per scalar plus a per-tensor scale). The client
-	// keeps the quantization error as an error-feedback residual.
-	Int8Grads [][]byte
-	Scales    []float32
-	// Ranked pushes identify the sending worker; the server buffers one
-	// push per rank and reduces them in rank order, making synchronous
-	// rounds deterministic. Unranked pushes (Ranked false) accumulate in
-	// arrival order, the legacy behavior.
-	Ranked bool
-	Rank   int
+// Frame sizes and the client's reply bounds.
+const (
+	// psReqHeader is a request's fixed header: kind, ranked, rank, count.
+	psReqHeader = 10
+	// psReplyHeader is a reply's fixed header: version, error length,
+	// count (the error bytes sit between the last two).
+	psReplyHeader = 16
+	// psMaxErrLen caps a reply's error string; the server truncates.
+	psMaxErrLen = 1 << 10
+	// psMaxReplyTensors and psMaxReplyElems bound what a client
+	// allocates for one reply (1 GiB of fp32 weights).
+	psMaxReplyTensors = 1 << 16
+	psMaxReplyElems   = 1 << 28
+	// psBufSize is each endpoint's read and write buffer.
+	psBufSize = 64 << 10
+)
+
+// frameError is a malformed parameter-server frame: the frame's kind (a
+// request kind, or "reply"), the byte offset within the frame where
+// decoding stopped, and why.
+type frameError struct {
+	kind string
+	off  int
+	msg  string
 }
 
-// psResponse is one server->worker message.
-type psResponse struct {
-	Weights [][]float32
-	Version int
-	Err     string
+func (e *frameError) Error() string {
+	return fmt.Sprintf("ps frame kind=%s offset=%d: %s", e.kind, e.off, e.msg)
+}
+
+// psRequest is one worker->server message. On the server, grads are
+// views of the connection's scratch, valid until its next frame.
+type psRequest struct {
+	kind   byte
+	ranked bool
+	rank   int
+	grads  [][]float32
+}
+
+// psReply is one server->worker message. On the server, weights are
+// views of the connection's snapshot scratch.
+type psReply struct {
+	version int
+	err     string
+	weights [][]float32
 }
 
 // PSServer is the parameter-server endpoint.
 type PSServer struct {
 	params  []*layers.Param
+	numel   int // Σ parameter elements: the bound on a push's payload
 	opt     optim.Optimizer
 	workers int
 	// async applies each push immediately instead of waiting for a full
@@ -82,7 +120,8 @@ type PSServer struct {
 	mu        sync.Mutex
 	cond      *sync.Cond
 	pending   [][]float32           // unranked accumulation; guarded by mu
-	rankGrads [][][]float32         // ranked round buffer [rank][tensor]; guarded by mu
+	rankGrads [][][]float32         // ranked round buffer [rank][tensor], allocated at a rank's first push; guarded by mu
+	rankIn    []bool                // rank has a push buffered this round; guarded by mu
 	rankSeen  int                   // distinct ranked pushes buffered; guarded by mu
 	pushes    int                   // unranked pushes this round; guarded by mu
 	version   int                   // applied update rounds; guarded by mu
@@ -104,6 +143,17 @@ type PSServer struct {
 //
 //tbd:pre-publication guarded fields are written before the accept goroutine (the first concurrent observer) starts
 func ServePS(l net.Listener, params []*layers.Param, opt optim.Optimizer, workers int) *PSServer {
+	s := newPSServer(params, opt, workers)
+	s.listener = l
+	s.wg.Add(1)
+	go s.acceptLoop()
+	return s
+}
+
+// newPSServer builds the server state without a listener.
+//
+//tbd:pre-publication guarded fields are written before the server is shared
+func newPSServer(params []*layers.Param, opt optim.Optimizer, workers int) *PSServer {
 	if workers <= 0 {
 		panic("dist: parameter server needs at least one worker")
 	}
@@ -112,19 +162,33 @@ func ServePS(l net.Listener, params []*layers.Param, opt optim.Optimizer, worker
 		opt:       opt,
 		workers:   workers,
 		staleness: -1,
-		listener:  l,
 		conns:     make(map[net.Conn]struct{}),
+		pending:   paramBufs(params),
+		rankGrads: make([][][]float32, workers),
+		rankIn:    make([]bool, workers),
+		clocks:    make([]int, workers),
+	}
+	for _, p := range params {
+		s.numel += p.Value.Numel()
 	}
 	s.cond = sync.NewCond(&s.mu)
-	s.pending = make([][]float32, len(params))
-	for i, p := range params {
-		s.pending[i] = make([]float32, p.Value.Numel())
-	}
-	s.rankGrads = make([][][]float32, workers)
-	s.clocks = make([]int, workers)
-	s.wg.Add(1)
-	go s.acceptLoop()
 	return s
+}
+
+// paramBufs allocates one zeroed buffer per parameter, shaped like
+// params, in a single block.
+func paramBufs(params []*layers.Param) [][]float32 {
+	n := 0
+	for _, p := range params {
+		n += p.Value.Numel()
+	}
+	flat := make([]float32, n)
+	out := make([][]float32, len(params))
+	for i, p := range params {
+		k := p.Value.Numel()
+		out[i], flat = flat[:k:k], flat[k:]
+	}
+	return out
 }
 
 // ServeAsyncPS starts an asynchronous parameter server: every push is
@@ -188,7 +252,7 @@ func (s *PSServer) Close() error {
 	}
 	s.mu.Unlock()
 	err := s.listener.Close()
-	// Closing the connections unblocks handlers parked in dec.Decode —
+	// Closing the connections unblocks handlers parked reading a frame —
 	// without this, Close would hang until every client hung up.
 	for _, c := range conns {
 		c.Close()
@@ -227,74 +291,229 @@ func (s *PSServer) acceptLoop() {
 	}
 }
 
-func (s *PSServer) serveConn(conn net.Conn) {
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
-	for {
-		var req psRequest
-		if err := dec.Decode(&req); err != nil {
-			return
-		}
-		var resp psResponse
-		switch req.Kind {
-		case kindPull:
-			resp = s.handlePull()
-		case kindPush, kindPush16, kindPush8:
-			grads, err := s.decodeGrads(&req)
-			if err != nil {
-				resp = psResponse{Err: err.Error()}
-			} else if req.Ranked {
-				resp = s.handleRankedPush(req.Rank, grads)
-			} else {
-				resp = s.handlePush(grads)
+// psConn is one accepted connection's framing state, reused frame to
+// frame.
+type psConn struct {
+	r     *bufio.Reader
+	w     *bufio.Writer
+	buf   wireBuf
+	flat  []float32   // decoded push payload, sized to the parameters once
+	grads [][]float32 // the current frame's tensors: views of flat
+	snap  [][]float32 // reply weights, sized to the parameters once
+}
+
+func newPSConn(rw io.ReadWriter) *psConn {
+	return &psConn{r: bufio.NewReaderSize(rw, psBufSize), w: bufio.NewWriterSize(rw, psBufSize)}
+}
+
+func (s *PSServer) serveConn(rw io.ReadWriter) {
+	c := newPSConn(rw)
+	for s.serveFrame(c) == nil {
+	}
+}
+
+// serveFrame reads and answers one request. A non-nil error means the
+// connection must close: the transport failed, or the frame was over
+// the bound or of an unknown kind (answered with the frame error first).
+func (s *PSServer) serveFrame(c *psConn) error {
+	req, err := s.readRequest(c)
+	if err != nil {
+		var fe *frameError
+		if errors.As(err, &fe) {
+			if werr := c.reply(psReply{err: fe.Error()}); werr != nil {
+				return werr
 			}
-		default:
-			resp = psResponse{Err: fmt.Sprintf("unknown request kind %q", req.Kind)}
 		}
-		if err := enc.Encode(&resp); err != nil {
-			return
-		}
+		return err
 	}
+	var rep psReply
+	switch {
+	case req.kind == kindPull:
+		rep = s.handlePull(c)
+	case req.ranked:
+		rep = s.handleRankedPush(c, req.rank, req.grads)
+	default:
+		rep = s.handlePush(c, req.grads)
+	}
+	return c.reply(rep)
 }
 
-// decodeGrads expands a push payload to full-precision per-tensor slices.
-func (s *PSServer) decodeGrads(req *psRequest) ([][]float32, error) {
-	switch req.Kind {
+// readRequest decodes one request frame into c's scratch. The tensor
+// count and every length are checked against the server's parameters
+// before anything is allocated, so a frame never costs more than one
+// push of the full model. A *frameError means the stream cannot be
+// trusted past this frame; any other error is the transport's.
+func (s *PSServer) readRequest(c *psConn) (psRequest, error) {
+	var hdr [psReqHeader]byte
+	if _, err := io.ReadFull(c.r, hdr[:1]); err != nil {
+		return psRequest{}, err
+	}
+	req := psRequest{kind: hdr[0]}
+	// The one place the server decodes a kind: wirecheck pairs these
+	// cases with the client's encoders.
+	var name string
+	var read func(*wireBuf, io.Reader, []float32) error
+	maxCount := len(s.params)
+	switch req.kind {
+	case kindPull:
+		name, maxCount = "pull", 0
 	case kindPush:
-		return req.Grads, nil
+		name, read = "push", (*wireBuf).readF32
 	case kindPush16:
-		grads := make([][]float32, len(req.HalfGrads))
-		for i, hg := range req.HalfGrads {
-			grads[i] = tensor.DecodeHalf(hg)
-		}
-		return grads, nil
+		name, read = "push16", (*wireBuf).readF16
 	case kindPush8:
-		if len(req.Scales) != len(req.Int8Grads) {
-			return nil, fmt.Errorf("push8 with %d scales for %d tensors", len(req.Scales), len(req.Int8Grads))
-		}
-		grads := make([][]float32, len(req.Int8Grads))
-		for i, q := range req.Int8Grads {
-			grads[i] = make([]float32, len(q))
-			DequantInt8Slice(req.Scales[i], q, grads[i])
-		}
-		return grads, nil
+		name, read = "push8", (*wireBuf).readInt8
+	default:
+		return req, &frameError{fmt.Sprintf("0x%02x", req.kind), 0, "unknown request kind"}
 	}
-	return nil, fmt.Errorf("not a push kind %q", req.Kind)
+	if _, err := io.ReadFull(c.r, hdr[1:]); err != nil {
+		return req, err
+	}
+	switch hdr[1] {
+	case 0:
+	case 1:
+		req.ranked = true
+	default:
+		return req, &frameError{name, 1, fmt.Sprintf("ranked flag %d is not 0 or 1", hdr[1])}
+	}
+	req.rank = int(int32(binary.LittleEndian.Uint32(hdr[2:])))
+	count := binary.LittleEndian.Uint32(hdr[6:])
+	if uint64(count) > uint64(maxCount) {
+		return req, &frameError{name, 6, fmt.Sprintf("tensor count %d over bound %d", count, maxCount)}
+	}
+	if count == 0 {
+		return req, nil
+	}
+	lens := c.buf.grow(4 * int(count))
+	if _, err := io.ReadFull(c.r, lens); err != nil {
+		return req, err
+	}
+	if c.flat == nil {
+		c.flat = make([]float32, s.numel)
+		c.grads = make([][]float32, len(s.params))
+	}
+	req.grads = c.grads[:count]
+	total := 0
+	for i := range req.grads {
+		n := binary.LittleEndian.Uint32(lens[4*i:])
+		if uint64(n) > uint64(s.numel-total) {
+			return req, &frameError{name, psReqHeader + 4*i, fmt.Sprintf("tensor %d has %d elements, over the remaining bound %d", i, n, s.numel-total)}
+		}
+		req.grads[i] = c.flat[total : total+int(n) : total+int(n)]
+		total += int(n)
+	}
+	for _, g := range req.grads {
+		if err := read(&c.buf, c.r, g); err != nil {
+			return req, err
+		}
+	}
+	return req, nil
 }
 
-func (s *PSServer) handlePull() psResponse {
+// reply frames rep and flushes it to the client.
+func (c *psConn) reply(rep psReply) error {
+	if err := writeReply(c.w, &c.buf, rep); err != nil {
+		return err
+	}
+	return c.w.Flush()
+}
+
+// writeReply frames one reply. An error longer than psMaxErrLen is
+// truncated.
+func writeReply(w io.Writer, b *wireBuf, rep psReply) error {
+	msg := rep.err
+	if len(msg) > psMaxErrLen {
+		msg = msg[:psMaxErrLen]
+	}
+	hdr := b.grow(psReplyHeader + len(msg) + 4*len(rep.weights))
+	binary.LittleEndian.PutUint64(hdr, uint64(int64(rep.version)))
+	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(msg)))
+	o := 12 + copy(hdr[12:], msg)
+	binary.LittleEndian.PutUint32(hdr[o:], uint32(len(rep.weights)))
+	for i, t := range rep.weights {
+		binary.LittleEndian.PutUint32(hdr[o+4+4*i:], uint32(len(t)))
+	}
+	if _, err := w.Write(hdr); err != nil {
+		return err
+	}
+	for _, t := range rep.weights {
+		if err := b.writeF32(w, t); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// readReply decodes one reply frame. Its header is checked against
+// maxTensors and maxElems before the weights — one block of at most
+// maxElems float32s — are allocated.
+func readReply(r io.Reader, b *wireBuf, maxTensors, maxElems int) (psReply, error) {
+	hdr := b.grow(12)
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return psReply{}, err
+	}
+	rep := psReply{version: int(int64(binary.LittleEndian.Uint64(hdr)))}
+	n := binary.LittleEndian.Uint32(hdr[8:])
+	if n > psMaxErrLen {
+		return psReply{}, &frameError{"reply", 8, fmt.Sprintf("error length %d over bound %d", n, psMaxErrLen)}
+	}
+	msg := b.grow(int(n) + 4)
+	if _, err := io.ReadFull(r, msg); err != nil {
+		return psReply{}, err
+	}
+	rep.err = string(msg[:n])
+	off := 12 + int(n)
+	count := binary.LittleEndian.Uint32(msg[n:])
+	if uint64(count) > uint64(maxTensors) {
+		return psReply{}, &frameError{"reply", off, fmt.Sprintf("tensor count %d over bound %d", count, maxTensors)}
+	}
+	if count == 0 {
+		return rep, nil
+	}
+	lens := b.grow(4 * int(count))
+	if _, err := io.ReadFull(r, lens); err != nil {
+		return psReply{}, err
+	}
+	total := 0
+	for i := 0; i < int(count); i++ {
+		k := binary.LittleEndian.Uint32(lens[4*i:])
+		if uint64(k) > uint64(maxElems-total) {
+			return psReply{}, &frameError{"reply", off + 4 + 4*i, fmt.Sprintf("tensor %d has %d elements, over the remaining bound %d", i, k, maxElems-total)}
+		}
+		total += int(k)
+	}
+	flat := make([]float32, total)
+	rep.weights = make([][]float32, count)
+	for i := range rep.weights {
+		k := int(binary.LittleEndian.Uint32(lens[4*i:]))
+		rep.weights[i], flat = flat[:k:k], flat[k:]
+	}
+	for _, w := range rep.weights {
+		if err := b.readF32(r, w); err != nil {
+			return psReply{}, err
+		}
+	}
+	return rep, nil
+}
+
+func (s *PSServer) handlePull(c *psConn) psReply {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return psResponse{Weights: s.snapshotLocked(), Version: s.version}
+	return s.replyLocked(c)
 }
 
-// snapshotLocked copies the current weights.
-func (s *PSServer) snapshotLocked() [][]float32 {
-	out := make([][]float32, len(s.params))
-	for i, p := range s.params {
-		out[i] = append([]float32(nil), p.Value.Data()...)
+// replyLocked answers with the current version and weights, copied into
+// c's snapshot scratch so the frame is encoded outside the lock.
+//
+//tbd:locked-by-caller
+func (s *PSServer) replyLocked(c *psConn) psReply {
+	if c.snap == nil {
+		c.snap = paramBufs(s.params)
 	}
-	return out
+	for i, p := range s.params {
+		copy(c.snap[i], p.Value.Data())
+	}
+	return psReply{version: s.version, weights: c.snap}
 }
 
 // checkShapeLocked validates one push payload against the parameters.
@@ -328,11 +547,11 @@ func (s *PSServer) applyLocked(sum [][]float32, inv float32) {
 	s.version++
 }
 
-func (s *PSServer) handlePush(grads [][]float32) psResponse {
+func (s *PSServer) handlePush(c *psConn, grads [][]float32) psReply {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if msg := s.checkShapeLocked(grads); msg != "" {
-		return psResponse{Err: msg}
+		return psReply{err: msg}
 	}
 	for i, g := range grads {
 		for j, v := range g {
@@ -344,7 +563,7 @@ func (s *PSServer) handlePush(grads [][]float32) psResponse {
 		for i := range s.pending {
 			clearF32(s.pending[i])
 		}
-		return psResponse{Weights: s.snapshotLocked(), Version: s.version}
+		return s.replyLocked(c)
 	}
 	s.pushes++
 	round := s.version
@@ -360,23 +579,23 @@ func (s *PSServer) handlePush(grads [][]float32) psResponse {
 			s.cond.Wait()
 		}
 		if s.closed {
-			return psResponse{Err: "server closed"}
+			return psReply{err: "server closed"}
 		}
 	}
-	return psResponse{Weights: s.snapshotLocked(), Version: s.version}
+	return s.replyLocked(c)
 }
 
 // handleRankedPush is the deterministic path: one buffered push per rank,
 // reduced in rank order when the round completes (sync) or applied
 // immediately under the staleness bound (bounded async).
-func (s *PSServer) handleRankedPush(rank int, grads [][]float32) psResponse {
+func (s *PSServer) handleRankedPush(c *psConn, rank int, grads [][]float32) psReply {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if rank < 0 || rank >= s.workers {
-		return psResponse{Err: fmt.Sprintf("rank %d outside [0, %d)", rank, s.workers)}
+		return psReply{err: fmt.Sprintf("rank %d outside [0, %d)", rank, s.workers)}
 	}
 	if msg := s.checkShapeLocked(grads); msg != "" {
-		return psResponse{Err: msg}
+		return psReply{err: msg}
 	}
 
 	if s.async {
@@ -397,20 +616,22 @@ func (s *PSServer) handleRankedPush(rank int, grads [][]float32) psResponse {
 				s.cond.Wait()
 			}
 			if s.closed {
-				return psResponse{Err: "server closed"}
+				return psReply{err: "server closed"}
 			}
 		}
-		return psResponse{Weights: s.snapshotLocked(), Version: s.version}
+		return s.replyLocked(c)
 	}
 
-	if s.rankGrads[rank] != nil {
-		return psResponse{Err: fmt.Sprintf("rank %d pushed twice in one round", rank)}
+	if s.rankIn[rank] {
+		return psReply{err: fmt.Sprintf("rank %d pushed twice in one round", rank)}
 	}
-	bufs := make([][]float32, len(grads))
+	if s.rankGrads[rank] == nil {
+		s.rankGrads[rank] = paramBufs(s.params)
+	}
 	for i, g := range grads {
-		bufs[i] = append([]float32(nil), g...)
+		copy(s.rankGrads[rank][i], g)
 	}
-	s.rankGrads[rank] = bufs
+	s.rankIn[rank] = true
 	s.rankSeen++
 	round := s.version
 	if s.rankSeen == s.workers {
@@ -429,8 +650,8 @@ func (s *PSServer) handleRankedPush(rank int, grads [][]float32) psResponse {
 		for i := range s.pending {
 			clearF32(s.pending[i])
 		}
-		for r := range s.rankGrads {
-			s.rankGrads[r] = nil
+		for r := range s.rankIn {
+			s.rankIn[r] = false
 		}
 		s.rankSeen = 0
 		s.cond.Broadcast()
@@ -439,10 +660,10 @@ func (s *PSServer) handleRankedPush(rank int, grads [][]float32) psResponse {
 			s.cond.Wait()
 		}
 		if s.closed {
-			return psResponse{Err: "server closed"}
+			return psReply{err: "server closed"}
 		}
 	}
-	return psResponse{Weights: s.snapshotLocked(), Version: s.version}
+	return s.replyLocked(c)
 }
 
 func clearF32(s []float32) {
@@ -465,10 +686,12 @@ func minInt(xs []int) int {
 type PSClient struct {
 	conn  net.Conn
 	count *countingConn
-	dec   *gob.Decoder
-	enc   *gob.Encoder
+	r     *bufio.Reader
+	w     *bufio.Writer
+	buf   wireBuf        // frame scratch, reused call to call
 	quant *Int8Quantizer // error-feedback state for int8 pushes
-	offs  []int          // flat-stream offset of each tensor for the quantizer
+	offs  []int          // flat-stream offset of each tensor, then the total, for the quantizer
+	q8    []byte         // int8 levels of one tensor
 }
 
 // DialPS connects a worker to the server at addr.
@@ -486,7 +709,10 @@ func DialPSThrottled(addr string, bytesPerSec float64) (*PSClient, error) {
 	}
 	count := newCountingConn(conn)
 	wire := Throttle(count, bytesPerSec)
-	return &PSClient{conn: conn, count: count, dec: gob.NewDecoder(wire), enc: gob.NewEncoder(wire)}, nil
+	return &PSClient{
+		conn: conn, count: count,
+		r: bufio.NewReaderSize(wire, psBufSize), w: bufio.NewWriterSize(wire, psBufSize),
+	}, nil
 }
 
 // Close terminates the connection.
@@ -495,46 +721,115 @@ func (c *PSClient) Close() error { return c.conn.Close() }
 // WireBytes returns cumulative (in, out) wire bytes this client moved.
 func (c *PSClient) WireBytes() (in, out int64) { return c.count.Bytes() }
 
-func (c *PSClient) roundTrip(req psRequest) (psResponse, error) {
+func (c *PSClient) roundTrip(req psRequest, comp Compression) (psReply, error) {
 	in0, out0 := c.count.Bytes()
 	sp := prof.Begin(prof.CatComm, "comm.ps.roundtrip")
-	if err := c.enc.Encode(&req); err != nil {
-		sp.End()
-		return psResponse{}, fmt.Errorf("dist: send %s: %w", req.Kind, err)
+	err := c.writeRequest(req, comp)
+	if err == nil {
+		err = c.w.Flush()
 	}
-	var resp psResponse
-	if err := c.dec.Decode(&resp); err != nil {
+	if err != nil {
 		sp.End()
-		return psResponse{}, fmt.Errorf("dist: receive %s reply: %w", req.Kind, err)
+		return psReply{}, fmt.Errorf("dist: send ps request: %w", err)
+	}
+	rep, err := readReply(c.r, &c.buf, psMaxReplyTensors, psMaxReplyElems)
+	if err != nil {
+		sp.End()
+		return psReply{}, fmt.Errorf("dist: receive ps reply: %w", err)
 	}
 	in1, out1 := c.count.Bytes()
 	sp.SetBytes((in1 - in0) + (out1 - out0))
 	sp.End()
-	if resp.Err != "" {
-		return psResponse{}, fmt.Errorf("dist: server: %s", resp.Err)
+	if rep.err != "" {
+		return psReply{}, fmt.Errorf("dist: server: %s", rep.err)
 	}
-	return resp, nil
+	return rep, nil
+}
+
+// writeRequest frames one request into the client's buffered writer:
+// header, tensor lengths, then each tensor under comp.
+func (c *PSClient) writeRequest(req psRequest, comp Compression) error {
+	if req.rank < math.MinInt32 || req.rank > math.MaxInt32 {
+		return fmt.Errorf("rank %d does not fit a frame", req.rank)
+	}
+	if comp == CompressInt8 {
+		if err := c.prepareInt8(req.grads); err != nil {
+			return err
+		}
+	}
+	hdr := c.buf.grow(psReqHeader + 4*len(req.grads))
+	hdr[0] = req.kind
+	hdr[1] = 0
+	if req.ranked {
+		hdr[1] = 1
+	}
+	binary.LittleEndian.PutUint32(hdr[2:], uint32(int32(req.rank)))
+	binary.LittleEndian.PutUint32(hdr[6:], uint32(len(req.grads)))
+	for i, g := range req.grads {
+		binary.LittleEndian.PutUint32(hdr[psReqHeader+4*i:], uint32(len(g)))
+	}
+	if _, err := c.w.Write(hdr); err != nil {
+		return err
+	}
+	for i, g := range req.grads {
+		var err error
+		switch comp {
+		case CompressFP16:
+			err = c.buf.writeF16(c.w, g)
+		case CompressInt8:
+			q := c.q8[:len(g)]
+			err = c.buf.writeInt8(c.w, c.quant.QuantizeAt(c.offs[i], g, q), q)
+		default:
+			err = c.buf.writeF32(c.w, g)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// prepareInt8 sizes the error-feedback quantizer at the first int8
+// push; later pushes must keep that tensor layout.
+func (c *PSClient) prepareInt8(grads [][]float32) error {
+	if c.quant == nil {
+		c.offs = make([]int, len(grads)+1)
+		widest := 0
+		for i, g := range grads {
+			c.offs[i+1] = c.offs[i] + len(g)
+			widest = max(widest, len(g))
+		}
+		c.quant = NewInt8Quantizer(c.offs[len(grads)])
+		c.q8 = make([]byte, widest)
+	}
+	if len(grads) != len(c.offs)-1 {
+		return fmt.Errorf("int8 push of %d tensors after a first push of %d", len(grads), len(c.offs)-1)
+	}
+	for i, g := range grads {
+		if len(g) != c.offs[i+1]-c.offs[i] {
+			return fmt.Errorf("int8 push: tensor %d has %d elements, the first push had %d", i, len(g), c.offs[i+1]-c.offs[i])
+		}
+	}
+	return nil
 }
 
 // Pull fetches the current weights and version.
 func (c *PSClient) Pull() ([][]float32, int, error) {
-	resp, err := c.roundTrip(psRequest{Kind: kindPull})
-	return resp.Weights, resp.Version, err
+	rep, err := c.roundTrip(psRequest{kind: kindPull}, CompressNone)
+	return rep.weights, rep.version, err
 }
 
 // Push submits this worker's gradients and blocks until the synchronous
 // round is applied, returning the post-update weights.
 func (c *PSClient) Push(grads [][]float32) ([][]float32, int, error) {
-	resp, err := c.roundTrip(psRequest{Kind: kindPush, Grads: grads})
-	return resp.Weights, resp.Version, err
+	return c.push(false, 0, CompressNone, grads)
 }
 
 // PushHalf submits fp16-compressed gradients (half the wire volume; the
 // server expands them before aggregation). Weights still return in full
 // precision.
 func (c *PSClient) PushHalf(grads [][]float32) ([][]float32, int, error) {
-	resp, err := c.roundTrip(c.encodeHalf(grads, false, 0))
-	return resp.Weights, resp.Version, err
+	return c.push(false, 0, CompressFP16, grads)
 }
 
 // PushRanked submits gradients tagged with this worker's rank under the
@@ -543,44 +838,19 @@ func (c *PSClient) PushHalf(grads [][]float32) ([][]float32, int, error) {
 // an error-feedback residual inside the client, so a client must push
 // the same tensor layout every round.
 func (c *PSClient) PushRanked(rank int, comp Compression, grads [][]float32) ([][]float32, int, error) {
-	var req psRequest
+	return c.push(true, rank, comp, grads)
+}
+
+func (c *PSClient) push(ranked bool, rank int, comp Compression, grads [][]float32) ([][]float32, int, error) {
+	req := psRequest{kind: kindPush, ranked: ranked, rank: rank, grads: grads}
 	switch comp {
 	case CompressFP16:
-		req = c.encodeHalf(grads, true, rank)
+		req.kind = kindPush16
 	case CompressInt8:
-		req = c.encodeInt8(grads, rank)
-	default:
-		req = psRequest{Kind: kindPush, Grads: grads, Ranked: true, Rank: rank}
+		req.kind = kindPush8
 	}
-	resp, err := c.roundTrip(req)
-	return resp.Weights, resp.Version, err
-}
-
-func (c *PSClient) encodeHalf(grads [][]float32, ranked bool, rank int) psRequest {
-	hg := make([][]uint16, len(grads))
-	for i, g := range grads {
-		hg[i] = tensor.EncodeHalf(g)
-	}
-	return psRequest{Kind: kindPush16, HalfGrads: hg, Ranked: ranked, Rank: rank}
-}
-
-func (c *PSClient) encodeInt8(grads [][]float32, rank int) psRequest {
-	if c.quant == nil {
-		total := 0
-		c.offs = make([]int, len(grads))
-		for i, g := range grads {
-			c.offs[i] = total
-			total += len(g)
-		}
-		c.quant = NewInt8Quantizer(total)
-	}
-	qs := make([][]byte, len(grads))
-	scales := make([]float32, len(grads))
-	for i, g := range grads {
-		qs[i] = make([]byte, len(g))
-		scales[i] = c.quant.QuantizeAt(c.offs[i], g, qs[i])
-	}
-	return psRequest{Kind: kindPush8, Int8Grads: qs, Scales: scales, Ranked: true, Rank: rank}
+	rep, err := c.roundTrip(req, comp)
+	return rep.weights, rep.version, err
 }
 
 // LoadWeights copies pulled weights into a parameter list.

@@ -276,7 +276,7 @@ func TestBoundedStalenessHoldsFastWorker(t *testing.T) {
 }
 
 func TestPSClientCountsWireBytes(t *testing.T) {
-	s, _ := startPS(t, 1, 95)
+	s, master := startPS(t, 1, 95)
 	c, err := DialPS(s.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -285,8 +285,10 @@ func TestPSClientCountsWireBytes(t *testing.T) {
 	if _, _, err := c.Pull(); err != nil {
 		t.Fatal(err)
 	}
+	// A pull is a bare request header out and one fp32 weights frame in.
+	count, numel := paramLayout(master.Params())
 	in, out := c.WireBytes()
-	if in <= 0 || out <= 0 {
-		t.Fatalf("wire byte counters (in=%d, out=%d) did not move on a pull", in, out)
+	if wantIn, wantOut := int64(psReplyHeader+4*count+4*numel), int64(psReqHeader); in != wantIn || out != wantOut {
+		t.Fatalf("pull moved in=%d out=%d wire bytes, want in=%d out=%d", in, out, wantIn, wantOut)
 	}
 }

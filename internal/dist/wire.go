@@ -72,10 +72,9 @@ func (c Compression) WireBytesPerElem() int {
 
 // wireBuf holds the reusable scratch buffers one endpoint needs to frame
 // and unframe payloads. Not safe for concurrent use; the ring keeps one
-// per direction.
+// per direction, and each parameter-server endpoint one per connection.
 type wireBuf struct {
 	bytes []byte
-	u16s  []uint16
 }
 
 func (b *wireBuf) grow(n int) []byte {
@@ -131,8 +130,20 @@ func (b *wireBuf) writeF16(w io.Writer, vals []float32) error {
 	return err
 }
 
+// readF16 fills dst from half payloads.
+func (b *wireBuf) readF16(r io.Reader, dst []float32) error {
+	buf := b.grow(2 * len(dst))
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return err
+	}
+	for i := range dst {
+		dst[i] = tensor.HalfToFloat32(binary.LittleEndian.Uint16(buf[2*i:]))
+	}
+	return nil
+}
+
 // readF16Add reads half payloads and ADDS them into dst (the ring's
-// reduce step); readF16 overwrites.
+// reduce step).
 func (b *wireBuf) readF16Add(r io.Reader, dst []float32) error {
 	buf := b.grow(2 * len(dst))
 	if _, err := io.ReadFull(r, buf); err != nil {
@@ -154,6 +165,21 @@ func (b *wireBuf) writeInt8(w io.Writer, scale float32, q []byte) error {
 	}
 	_, err := w.Write(q)
 	return err
+}
+
+// readInt8 reads one int8 message and fills dst with the dequantized
+// values.
+func (b *wireBuf) readInt8(r io.Reader, dst []float32) error {
+	var hdr [4]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return err
+	}
+	buf := b.grow(len(dst))
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return err
+	}
+	DequantInt8Slice(math.Float32frombits(binary.LittleEndian.Uint32(hdr[:])), buf, dst)
+	return nil
 }
 
 // readInt8Add reads one int8 message and ADDS the dequantized values

@@ -381,6 +381,7 @@ func trainWorker(cfg WorkerConfig, model RunModel, ring *Ring, ps *PSClient) (*t
 	}
 
 	var flat []float32
+	grads := make([][]float32, len(net.Params()))
 	wallStart := time.Now()
 	for step := 0; step < cfg.Steps; step++ {
 		stepStart := time.Now()
@@ -415,7 +416,12 @@ func trainWorker(cfg WorkerConfig, model RunModel, ring *Ring, ps *PSClient) (*t
 			net.SetGradVector(flat)
 			opt.Step(net.Params())
 		} else {
-			weights, _, err := ps.PushRanked(cfg.Rank, cfg.Compression, GradSlices(net.Params()))
+			// A push frames the gradients before it returns, so it can
+			// read them in place instead of through GradSlices' copy.
+			for i, p := range net.Params() {
+				grads[i] = p.Grad.Data()
+			}
+			weights, _, err := ps.PushRanked(cfg.Rank, cfg.Compression, grads)
 			if err != nil {
 				sync.End()
 				st.End()
