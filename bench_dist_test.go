@@ -47,7 +47,6 @@ func benchDistRun(b *testing.B, workers int, strat dist.RunStrategy, comp dist.C
 				Strategy:    strat,
 				Compression: comp,
 				BytesPerSec: bytesPerSec,
-				Staleness:   2,
 				Model:       "mlp-wide",
 				Seed:        42,
 				Steps:       steps,

@@ -65,7 +65,6 @@ func cmdDist(args []string) error {
 			Strategy:    strat,
 			Compression: comp,
 			BytesPerSec: bytesPerSec,
-			Staleness:   *staleness,
 			Model:       *model,
 			Seed:        *seed,
 			Steps:       *steps,
@@ -115,7 +114,6 @@ func cmdDist(args []string) error {
 			"-lr", strconv.FormatFloat(*lr, 'g', -1, 64),
 			"-compress", comp.String(),
 			"-bw", strconv.FormatFloat(*bwMBps, 'g', -1, 64),
-			"-staleness", strconv.Itoa(*staleness),
 			"-profile="+strconv.FormatBool(*profile),
 			"-coord", coord.Addr(),
 			"-ps", coord.PSAddr(),

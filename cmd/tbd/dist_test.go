@@ -1,6 +1,8 @@
 package main
 
 import (
+	"errors"
+	"os/exec"
 	"regexp"
 	"strings"
 	"testing"
@@ -51,4 +53,17 @@ func TestCLIDistValidates(t *testing.T) {
 	run(t, true, "dist", "-compress", "int4")
 	run(t, true, "dist", "-workers", "0")
 	run(t, true, "dist", "-role", "manager")
+}
+
+func TestCLIDistRejectsNegativeStaleness(t *testing.T) {
+	// A bad flag value is a usage error (exit 1, one message), not a
+	// panic (exit 2, a stack trace).
+	out, err := exec.Command(binPath, "dist", "-strategy", "ps-async", "-staleness", "-1").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("tbd dist -staleness -1: %v, want exit status 1:\n%s", err, out)
+	}
+	if s := string(out); strings.Contains(s, "panic") || !strings.Contains(s, "staleness must be >= 0") {
+		t.Fatalf("tbd dist -staleness -1 printed %q, want the staleness error and no panic", s)
+	}
 }

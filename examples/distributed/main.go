@@ -107,7 +107,7 @@ func runTCPParameterServer(construct func() *graph.Network, batch func(int) (*te
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c, err := dist.DialPS(server.Addr())
+			c, err := dist.DialPS(server.Addr(), 0)
 			if err != nil {
 				errs[w] = err
 				return
@@ -131,7 +131,7 @@ func runTCPParameterServer(construct func() *graph.Network, batch func(int) (*te
 				if w == 0 {
 					losses[r] = loss
 				}
-				weights, _, err = c.Push(dist.GradSlices(local.Params()))
+				weights, _, err = c.Push(w, dist.CompressNone, dist.GradSlices(local.Params()))
 				if err != nil {
 					errs[w] = err
 					return

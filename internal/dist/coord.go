@@ -26,7 +26,9 @@ type CoordConfig struct {
 	Model       string
 	Seed        uint64
 	LR          float32
-	// Staleness is the SSP bound for ps-async.
+	// Staleness is the SSP bound for ps-async, >= 0: the parameter
+	// server holds a worker that runs more than Staleness rounds ahead of
+	// the slowest, so workers do not carry it.
 	Staleness int
 	// PSBytesPerSec throttles the parameter server's shared NIC (the
 	// central bottleneck; 0 = unthrottled). Ring runs ignore it — each
@@ -62,6 +64,9 @@ type Coordinator struct {
 func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 	if cfg.Workers <= 0 {
 		return nil, fmt.Errorf("dist: coordinator needs at least one worker, got %d", cfg.Workers)
+	}
+	if cfg.Strategy == RunPSAsync && cfg.Staleness < 0 {
+		return nil, fmt.Errorf("dist: ps-async staleness must be >= 0, got %d", cfg.Staleness)
 	}
 	ctrl, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

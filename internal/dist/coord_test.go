@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -27,7 +28,6 @@ func runCoordinated(t *testing.T, cfg CoordConfig, steps, batch int, bytesPerSec
 				Strategy:    cfg.Strategy,
 				Compression: cfg.Compression,
 				BytesPerSec: bytesPerSec,
-				Staleness:   cfg.Staleness,
 				Model:       cfg.Model,
 				Seed:        cfg.Seed,
 				Steps:       steps,
@@ -103,6 +103,23 @@ func TestCoordinatedPSAsyncRunConvergesToOneState(t *testing.T) {
 	s := runCoordinated(t, cfg, 12, 12, 0)
 	if !s.Identical {
 		t.Fatal("ps-async workers did not converge to one final state")
+	}
+}
+
+func TestNewCoordinatorRejectsNegativeStaleness(t *testing.T) {
+	// The SSP bound is a count of rounds; a negative one is a
+	// configuration error, not a server that cannot start.
+	_, err := NewCoordinator(CoordConfig{Workers: 2, Strategy: RunPSAsync, Staleness: -1, Model: "mlp", Seed: 1, LR: 0.1})
+	if err == nil || !strings.Contains(err.Error(), "staleness") {
+		t.Fatalf("NewCoordinator with staleness -1 returned %v, want an error naming the staleness", err)
+	}
+	// Sync and ring runs have no staleness bound to check.
+	for _, strat := range []RunStrategy{RunPSSync, RunRing} {
+		c, err := NewCoordinator(CoordConfig{Workers: 1, Strategy: strat, Staleness: -1, Model: "mlp", Seed: 1, LR: 0.1})
+		if err != nil {
+			t.Fatalf("%v: %v", strat, err)
+		}
+		c.Close()
 	}
 }
 

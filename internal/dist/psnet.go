@@ -19,17 +19,19 @@ import (
 // frames), the multi-machine data-parallel scheme of §2.2/§4.5 (Li et
 // al.): workers pull the current weights, compute gradients on their
 // shard, and push them back; the server averages one push per worker,
-// applies the optimizer, and releases the next round. Ranked pushes are
-// buffered per worker and reduced in rank order, so a synchronous
-// N-worker run is not only numerically equivalent to one big-batch
-// replica but reproducible bit-for-bit run to run — the same
-// determinism discipline the ring all-reduce keeps via its fixed hop
-// order.
+// applies the optimizer, and releases the next round. Every push carries
+// its worker's rank: a round's pushes are buffered per rank and reduced
+// in rank order, so a synchronous N-worker run is not only numerically
+// equivalent to one big-batch replica but reproducible bit-for-bit run
+// to run — the same determinism discipline the ring all-reduce keeps
+// via its fixed hop order. The asynchronous server applies each push as
+// it lands and holds a worker that runs more than a staleness bound
+// ahead of the slowest rank.
 //
 // Every message is one little-endian frame, so a round trip moves the
 // raw tensor bytes plus a small header and nothing else:
 //
-//	request: kind u8 | ranked u8 | rank i32 | count u32 | count × len u32 | payload
+//	request: kind u8 | rank i32 | count u32 | count × len u32 | payload
 //	reply:   version i64 | errlen u32 | err | count u32 | count × len u32 | fp32 payload
 //
 // A request payload holds each tensor as fp32 (kindPush, 4 B/elem),
@@ -57,8 +59,8 @@ const (
 
 // Frame sizes and the client's reply bounds.
 const (
-	// psReqHeader is a request's fixed header: kind, ranked, rank, count.
-	psReqHeader = 10
+	// psReqHeader is a request's fixed header: kind, rank, count.
+	psReqHeader = 9
 	// psReplyHeader is a reply's fixed header: version, error length,
 	// count (the error bytes sit between the last two).
 	psReplyHeader = 16
@@ -88,10 +90,9 @@ func (e *frameError) Error() string {
 // psRequest is one worker->server message. On the server, grads are
 // views of the connection's scratch, valid until its next frame.
 type psRequest struct {
-	kind   byte
-	ranked bool
-	rank   int
-	grads  [][]float32
+	kind  byte
+	rank  int
+	grads [][]float32
 }
 
 // psReply is one server->worker message. On the server, weights are
@@ -113,17 +114,16 @@ type PSServer struct {
 	// the network). Workers may then train on slightly stale weights.
 	async bool
 	// staleness bounds how far a worker may run ahead of the slowest
-	// worker in async mode (SSP, Ho et al.): a ranked push blocks while
-	// clock(rank) - min(clocks) exceeds it. Negative = unbounded.
+	// worker in async mode (SSP, Ho et al.): a push blocks while
+	// clock(rank) - min(clocks) exceeds it.
 	staleness int
 
 	mu        sync.Mutex
 	cond      *sync.Cond
-	pending   [][]float32           // unranked accumulation; guarded by mu
-	rankGrads [][][]float32         // ranked round buffer [rank][tensor], allocated at a rank's first push; guarded by mu
+	pending   [][]float32           // a sync round's rank-ordered sum; guarded by mu
+	rankGrads [][][]float32         // sync round buffer [rank][tensor], allocated at a rank's first push; guarded by mu
 	rankIn    []bool                // rank has a push buffered this round; guarded by mu
-	rankSeen  int                   // distinct ranked pushes buffered; guarded by mu
-	pushes    int                   // unranked pushes this round; guarded by mu
+	rankSeen  int                   // distinct ranks buffered this round; guarded by mu
 	version   int                   // applied update rounds; guarded by mu
 	clocks    []int                 // per-rank applied pushes (bounded async); guarded by mu
 	conns     map[net.Conn]struct{} // live connections, closed on shutdown; guarded by mu
@@ -161,7 +161,6 @@ func newPSServer(params []*layers.Param, opt optim.Optimizer, workers int) *PSSe
 		params:    params,
 		opt:       opt,
 		workers:   workers,
-		staleness: -1,
 		conns:     make(map[net.Conn]struct{}),
 		pending:   paramBufs(params),
 		rankGrads: make([][][]float32, workers),
@@ -191,21 +190,13 @@ func paramBufs(params []*layers.Param) [][]float32 {
 	return out
 }
 
-// ServeAsyncPS starts an asynchronous parameter server: every push is
-// applied immediately with no round barrier and no staleness bound, the
-// update discipline the paper's A3C benchmark uses.
-func ServeAsyncPS(l net.Listener, params []*layers.Param, opt optim.Optimizer) *PSServer {
-	s := ServePS(l, params, opt, 1)
-	s.async = true
-	return s
-}
-
 // ServeBoundedAsyncPS starts an asynchronous parameter server with a
-// staleness bound: pushes apply immediately, but a ranked worker whose
-// clock runs more than staleness rounds ahead of the slowest worker
-// blocks until the stragglers catch up (stale synchronous parallel).
-// staleness 0 degenerates to a synchronous barrier; large values
-// approach fully async.
+// staleness bound: pushes apply immediately, the update discipline the
+// paper's A3C benchmark uses, but a worker whose clock runs more than
+// staleness rounds ahead of the slowest worker blocks until the
+// stragglers catch up (stale synchronous parallel). staleness 0
+// degenerates to a synchronous barrier; large values approach fully
+// async.
 func ServeBoundedAsyncPS(l net.Listener, params []*layers.Param, opt optim.Optimizer, workers, staleness int) *PSServer {
 	if staleness < 0 {
 		panic("dist: bounded-async staleness must be >= 0")
@@ -327,13 +318,10 @@ func (s *PSServer) serveFrame(c *psConn) error {
 		return err
 	}
 	var rep psReply
-	switch {
-	case req.kind == kindPull:
+	if req.kind == kindPull {
 		rep = s.handlePull(c)
-	case req.ranked:
-		rep = s.handleRankedPush(c, req.rank, req.grads)
-	default:
-		rep = s.handlePush(c, req.grads)
+	} else {
+		rep = s.handlePush(c, req.rank, req.grads)
 	}
 	return c.reply(rep)
 }
@@ -369,17 +357,10 @@ func (s *PSServer) readRequest(c *psConn) (psRequest, error) {
 	if _, err := io.ReadFull(c.r, hdr[1:]); err != nil {
 		return req, err
 	}
-	switch hdr[1] {
-	case 0:
-	case 1:
-		req.ranked = true
-	default:
-		return req, &frameError{name, 1, fmt.Sprintf("ranked flag %d is not 0 or 1", hdr[1])}
-	}
-	req.rank = int(int32(binary.LittleEndian.Uint32(hdr[2:])))
-	count := binary.LittleEndian.Uint32(hdr[6:])
+	req.rank = int(int32(binary.LittleEndian.Uint32(hdr[1:])))
+	count := binary.LittleEndian.Uint32(hdr[5:])
 	if uint64(count) > uint64(maxCount) {
-		return req, &frameError{name, 6, fmt.Sprintf("tensor count %d over bound %d", count, maxCount)}
+		return req, &frameError{name, 5, fmt.Sprintf("tensor count %d over bound %d", count, maxCount)}
 	}
 	if count == 0 {
 		return req, nil
@@ -547,48 +528,10 @@ func (s *PSServer) applyLocked(sum [][]float32, inv float32) {
 	s.version++
 }
 
-func (s *PSServer) handlePush(c *psConn, grads [][]float32) psReply {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if msg := s.checkShapeLocked(grads); msg != "" {
-		return psReply{err: msg}
-	}
-	for i, g := range grads {
-		for j, v := range g {
-			s.pending[i][j] += v
-		}
-	}
-	if s.async {
-		s.applyLocked(s.pending, 1)
-		for i := range s.pending {
-			clearF32(s.pending[i])
-		}
-		return s.replyLocked(c)
-	}
-	s.pushes++
-	round := s.version
-	if s.pushes == s.workers {
-		s.applyLocked(s.pending, 1/float32(s.workers))
-		for i := range s.pending {
-			clearF32(s.pending[i])
-		}
-		s.pushes = 0
-		s.cond.Broadcast()
-	} else {
-		for s.version == round && !s.closed {
-			s.cond.Wait()
-		}
-		if s.closed {
-			return psReply{err: "server closed"}
-		}
-	}
-	return s.replyLocked(c)
-}
-
-// handleRankedPush is the deterministic path: one buffered push per rank,
-// reduced in rank order when the round completes (sync) or applied
-// immediately under the staleness bound (bounded async).
-func (s *PSServer) handleRankedPush(c *psConn, rank int, grads [][]float32) psReply {
+// handlePush takes one rank's gradients. A sync server buffers one push
+// per rank and reduces them in rank order when the round completes; an
+// async server applies the push immediately under the staleness bound.
+func (s *PSServer) handlePush(c *psConn, rank int, grads [][]float32) psReply {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if rank < 0 || rank >= s.workers {
@@ -602,22 +545,14 @@ func (s *PSServer) handleRankedPush(c *psConn, rank int, grads [][]float32) psRe
 		// Apply this worker's contribution immediately, then hold the
 		// worker while it is more than `staleness` rounds ahead of the
 		// slowest clock.
-		for i, g := range grads {
-			copy(s.pending[i], g)
-		}
-		s.applyLocked(s.pending, 1)
-		for i := range s.pending {
-			clearF32(s.pending[i])
-		}
+		s.applyLocked(grads, 1)
 		s.clocks[rank]++
 		s.cond.Broadcast()
-		if s.staleness >= 0 {
-			for s.clocks[rank]-minInt(s.clocks) > s.staleness && !s.closed {
-				s.cond.Wait()
-			}
-			if s.closed {
-				return psReply{err: "server closed"}
-			}
+		for s.clocks[rank]-minInt(s.clocks) > s.staleness && !s.closed {
+			s.cond.Wait()
+		}
+		if s.closed {
+			return psReply{err: "server closed"}
 		}
 		return s.replyLocked(c)
 	}
@@ -647,9 +582,6 @@ func (s *PSServer) handleRankedPush(c *psConn, rank int, grads [][]float32) psRe
 			}
 		}
 		s.applyLocked(s.pending, 1/float32(s.workers))
-		for i := range s.pending {
-			clearF32(s.pending[i])
-		}
 		for r := range s.rankIn {
 			s.rankIn[r] = false
 		}
@@ -694,15 +626,10 @@ type PSClient struct {
 	q8    []byte         // int8 levels of one tensor
 }
 
-// DialPS connects a worker to the server at addr.
-func DialPS(addr string) (*PSClient, error) {
-	return DialPSThrottled(addr, 0)
-}
-
-// DialPSThrottled connects a worker to the server at addr over a link
-// clamped to bytesPerSec per direction (0 = unthrottled). The client
-// counts wire bytes either way.
-func DialPSThrottled(addr string, bytesPerSec float64) (*PSClient, error) {
+// DialPS connects a worker to the server at addr over a link clamped to
+// bytesPerSec per direction (0 = unthrottled). The client counts wire
+// bytes either way.
+func DialPS(addr string, bytesPerSec float64) (*PSClient, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("dist: dial parameter server: %w", err)
@@ -759,12 +686,8 @@ func (c *PSClient) writeRequest(req psRequest, comp Compression) error {
 	}
 	hdr := c.buf.grow(psReqHeader + 4*len(req.grads))
 	hdr[0] = req.kind
-	hdr[1] = 0
-	if req.ranked {
-		hdr[1] = 1
-	}
-	binary.LittleEndian.PutUint32(hdr[2:], uint32(int32(req.rank)))
-	binary.LittleEndian.PutUint32(hdr[6:], uint32(len(req.grads)))
+	binary.LittleEndian.PutUint32(hdr[1:], uint32(int32(req.rank)))
+	binary.LittleEndian.PutUint32(hdr[5:], uint32(len(req.grads)))
 	for i, g := range req.grads {
 		binary.LittleEndian.PutUint32(hdr[psReqHeader+4*i:], uint32(len(g)))
 	}
@@ -819,30 +742,15 @@ func (c *PSClient) Pull() ([][]float32, int, error) {
 	return rep.weights, rep.version, err
 }
 
-// Push submits this worker's gradients and blocks until the synchronous
-// round is applied, returning the post-update weights.
-func (c *PSClient) Push(grads [][]float32) ([][]float32, int, error) {
-	return c.push(false, 0, CompressNone, grads)
-}
-
-// PushHalf submits fp16-compressed gradients (half the wire volume; the
-// server expands them before aggregation). Weights still return in full
-// precision.
-func (c *PSClient) PushHalf(grads [][]float32) ([][]float32, int, error) {
-	return c.push(false, 0, CompressFP16, grads)
-}
-
-// PushRanked submits gradients tagged with this worker's rank under the
-// given compression. Ranked pushes make synchronous rounds deterministic
-// and enable the bounded-staleness clock in async mode. Int8 pushes keep
-// an error-feedback residual inside the client, so a client must push
-// the same tensor layout every round.
-func (c *PSClient) PushRanked(rank int, comp Compression, grads [][]float32) ([][]float32, int, error) {
-	return c.push(true, rank, comp, grads)
-}
-
-func (c *PSClient) push(ranked bool, rank int, comp Compression, grads [][]float32) ([][]float32, int, error) {
-	req := psRequest{kind: kindPush, ranked: ranked, rank: rank, grads: grads}
+// Push submits this worker's gradients, tagged with its rank, under
+// comp and returns the post-update weights. On a sync server it blocks
+// until every rank has pushed and the round is applied; the rank fixes
+// the reduction order, so rounds are bit-identical run to run. On an
+// async server it blocks only while the worker is over the staleness
+// bound. Int8 pushes keep an error-feedback residual inside the client,
+// so a client must push the same tensor layout every round.
+func (c *PSClient) Push(rank int, comp Compression, grads [][]float32) ([][]float32, int, error) {
+	req := psRequest{kind: kindPush, rank: rank, grads: grads}
 	switch comp {
 	case CompressFP16:
 		req.kind = kindPush16

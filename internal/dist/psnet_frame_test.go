@@ -7,8 +7,11 @@ import (
 	"io"
 	"math"
 	"net"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -27,11 +30,11 @@ func paramLayout(params []*layers.Param) (count, numel int) {
 
 func TestPSWireBytesReflectCompression(t *testing.T) {
 	// The PS counterpart of TestRingWireBytesReflectCompression, pinned
-	// exactly: a ranked push moves its header, the tensor lengths and the
+	// exactly: a push moves its header, the tensor lengths and the
 	// payload at the encoding's bytes per element (int8 adds one scale
 	// per tensor) and nothing else; the reply is always fp32 weights.
 	s, master := startPS(t, 1, 96)
-	c, err := DialPS(s.Addr())
+	c, err := DialPS(s.Addr(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,19 +51,19 @@ func TestPSWireBytesReflectCompression(t *testing.T) {
 		{CompressInt8, int64(psReqHeader + 4*count + 4*count + numel)},
 	} {
 		in0, out0 := c.WireBytes()
-		if _, _, err := c.PushRanked(0, tc.comp, grads); err != nil {
+		if _, _, err := c.Push(0, tc.comp, grads); err != nil {
 			t.Fatal(err)
 		}
 		in1, out1 := c.WireBytes()
 		if in, out := in1-in0, out1-out0; in != wantIn || out != tc.wantOut {
-			t.Errorf("%v ranked push moved in=%d out=%d wire bytes, want in=%d out=%d", tc.comp, in, out, wantIn, tc.wantOut)
+			t.Errorf("%v push moved in=%d out=%d wire bytes, want in=%d out=%d", tc.comp, in, out, wantIn, tc.wantOut)
 		}
 	}
 }
 
 // reqFrame builds a raw request header with the given tensor lengths.
-func reqFrame(kind, ranked byte, rank int32, count uint32, lens ...uint32) []byte {
-	b := []byte{kind, ranked}
+func reqFrame(kind byte, rank int32, count uint32, lens ...uint32) []byte {
+	b := []byte{kind}
 	b = binary.LittleEndian.AppendUint32(b, uint32(rank))
 	b = binary.LittleEndian.AppendUint32(b, count)
 	for _, n := range lens {
@@ -89,12 +92,11 @@ func TestPSFrameErrorsNameKindAndOffset(t *testing.T) {
 	}{
 		{"unknown kind", []byte{0x09}, "kind=0x09 offset=0"},
 		{"zero kind", make([]byte, psReqHeader), "kind=0x00 offset=0"},
-		{"ranked flag", reqFrame(kindPush, 2, 0, 0), "kind=push offset=1"},
-		{"pull with tensors", reqFrame(kindPull, 0, 0, 1, 1), "kind=pull offset=6"},
-		{"tensor count over bound", reqFrame(kindPush, 1, 0, uint32(count+1)), "kind=push offset=6"},
-		{"tensor count wraps", reqFrame(kindPush8, 1, 0, math.MaxUint32), "kind=push8 offset=6"},
-		{"elements over bound", reqFrame(kindPush16, 0, 0, 1, uint32(numel+1)), "kind=push16 offset=10"},
-		{"later tensor over bound", reqFrame(kindPush, 1, 0, 2, uint32(numel), 1), "kind=push offset=14"},
+		{"pull with tensors", reqFrame(kindPull, 0, 1, 1), "kind=pull offset=5"},
+		{"tensor count over bound", reqFrame(kindPush, 0, uint32(count+1)), "kind=push offset=5"},
+		{"tensor count wraps", reqFrame(kindPush8, 0, math.MaxUint32), "kind=push8 offset=5"},
+		{"elements over bound", reqFrame(kindPush16, 0, 1, uint32(numel+1)), "kind=push16 offset=9"},
+		{"later tensor over bound", reqFrame(kindPush, 0, 2, uint32(numel), 1), "kind=push offset=13"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			conn, err := net.Dial("tcp", s.Addr())
@@ -147,9 +149,92 @@ func TestPSFrameErrorsNameKindAndOffset(t *testing.T) {
 	}
 }
 
+// readSeed returns the input of a one-value []byte fuzz corpus file.
+func readSeed(t *testing.T, path string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	if len(lines) != 2 || lines[0] != "go test fuzz v1" {
+		t.Fatalf("%s: not a one-value fuzz corpus file", path)
+	}
+	lit, ok := strings.CutPrefix(lines[1], "[]byte(")
+	if lit, ok = strings.CutSuffix(lit, ")"); !ok {
+		t.Fatalf("%s: value is not a []byte literal", path)
+	}
+	s, err := strconv.Unquote(lit)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return []byte(s)
+}
+
+func TestPSRequestSeedsDecode(t *testing.T) {
+	// The FuzzPSRequest seeds only exercise what their names say if they
+	// are framed in the current header layout: a seed in an old layout
+	// still runs, silently misparsed. Pin each seed's frame-layer
+	// decode: the valid ones decode frame by frame to their end, the
+	// malformed ones stop at their named error.
+	type frame struct {
+		kind        byte
+		rank, count int
+	}
+	const dir = "testdata/fuzz/FuzzPSRequest"
+	cases := []struct {
+		seed   string
+		frames []frame // decoded before the stream ends or fails
+		err    string  // "" = clean EOF after the frames
+	}{
+		{"pull", []frame{{kindPull, 0, 0}}, ""},
+		{"push_fp16", []frame{{kindPush16, 0, 4}}, ""},
+		{"push_fp32_ranked", []frame{{kindPush, 0, 4}}, ""},
+		{"push_int8_ranked", []frame{{kindPush8, 0, 4}}, ""},
+		{"pull_then_push", []frame{{kindPull, 0, 0}, {kindPush, 0, 4}}, ""},
+		{"wrong_shape_then_pull", []frame{{kindPush, 0, 1}, {kindPull, 0, 0}}, ""},
+		{"rank_twice", []frame{{kindPush, 1, 4}}, ""},
+		{"oversized_count", nil, "ps frame kind=push offset=5: tensor count 1048576 over bound 4"},
+		{"oversized_elems", nil, "ps frame kind=push offset=9: tensor 0 has 1073741824 elements"},
+		{"unknown_kind", nil, "ps frame kind=0x7f offset=0: unknown request kind"},
+		{"truncated", nil, io.ErrUnexpectedEOF.Error()},
+	}
+	// Every committed seed has an entry.
+	files, err := filepath.Glob(filepath.Join(dir, "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != len(cases) {
+		t.Fatalf("%d seed files in %s, %d in this table", len(files), dir, len(cases))
+	}
+	for _, tc := range cases {
+		t.Run(tc.seed, func(t *testing.T) {
+			s := fuzzPSServer()
+			c := newPSConn(struct {
+				io.Reader
+				io.Writer
+			}{bytes.NewReader(readSeed(t, filepath.Join(dir, tc.seed))), io.Discard})
+			var got []frame
+			for {
+				req, err := s.readRequest(c)
+				if err != nil {
+					if tc.err == "" && err != io.EOF || tc.err != "" && !strings.HasPrefix(err.Error(), tc.err) {
+						t.Fatalf("after %d frames: %v, want %q", len(got), err, tc.err)
+					}
+					break
+				}
+				got = append(got, frame{req.kind, req.rank, len(req.grads)})
+			}
+			if !reflect.DeepEqual(got, tc.frames) {
+				t.Fatalf("decoded frames %+v, want %+v", got, tc.frames)
+			}
+		})
+	}
+}
+
 // fuzzPSServer is a 2-worker sync server (no listener) in mid-round:
-// rank 1's ranked push and one unranked push are already buffered, so
-// any well-formed push completes a round instead of blocking.
+// rank 1's push is already buffered, so any well-formed push from rank
+// 0 completes a round instead of blocking.
 func fuzzPSServer() *PSServer {
 	params := mlpConstructor(33)().Params()
 	s := newPSServer(params, optim.NewSGD(0.1), 2)
@@ -157,24 +242,22 @@ func fuzzPSServer() *PSServer {
 	for i, g := range s.rankGrads[1] {
 		for j := range g {
 			g[j] = float32(i+1) * 0.01 * float32(j%7-3)
-			s.pending[i][j] = -g[j]
 		}
 	}
 	s.rankIn[1] = true
 	s.rankSeen = 1
-	s.pushes = 1
 	return s
 }
 
 // psState is the server state a rejected frame must leave untouched,
 // with floats as bit patterns so NaNs compare.
 type psState struct {
-	params, pending  [][]uint32
-	rank             [][][]uint32 // per rank; empty until allocated
-	rankIn           []bool
-	rankSeen, pushes int
-	version          int
-	clocks           []int
+	params, pending [][]uint32
+	rank            [][][]uint32 // per rank; empty until allocated
+	rankIn          []bool
+	rankSeen        int
+	version         int
+	clocks          []int
 }
 
 func f32Bits(ts [][]float32) [][]uint32 {
@@ -195,7 +278,6 @@ func capturePSState(s *PSServer) psState {
 		pending:  f32Bits(s.pending),
 		rankIn:   append([]bool(nil), s.rankIn...),
 		rankSeen: s.rankSeen,
-		pushes:   s.pushes,
 		version:  s.version,
 		clocks:   append([]int(nil), s.clocks...),
 	}

@@ -14,7 +14,7 @@ import (
 // TestPSCloseUnblocksInFlightHandlers is the shutdown contract, mirroring
 // the serve package's drain tests: Close must deterministically unblock
 // (a) handlers parked in a synchronous round barrier waiting for peers
-// that will never push, (b) handlers parked in dec.Decode on idle
+// that will never push, (b) handlers parked reading a frame on idle
 // connections, and (c) the accept loop — and leave no goroutine behind.
 func TestPSCloseUnblocksInFlightHandlers(t *testing.T) {
 	before := runtime.NumGoroutine()
@@ -26,8 +26,8 @@ func TestPSCloseUnblocksInFlightHandlers(t *testing.T) {
 	master := mlpConstructor(20)()
 	s := ServePS(l, master.Params(), optim.NewSGD(0.1), 2) // 2 workers, only 1 will push
 
-	// An idle connection: its handler sits in dec.Decode.
-	idle, err := DialPS(s.Addr())
+	// An idle connection: its handler sits reading a frame.
+	idle, err := DialPS(s.Addr(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,14 +37,14 @@ func TestPSCloseUnblocksInFlightHandlers(t *testing.T) {
 	}
 
 	// A push that can never complete: the round needs a second worker.
-	pusher, err := DialPS(s.Addr())
+	pusher, err := DialPS(s.Addr(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pusher.Close()
 	pushErr := make(chan error, 1)
 	go func() {
-		_, _, err := pusher.Push(GradSlices(master.Params()))
+		_, _, err := pusher.Push(0, CompressNone, GradSlices(master.Params()))
 		pushErr <- err
 	}()
 
@@ -52,7 +52,7 @@ func TestPSCloseUnblocksInFlightHandlers(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
 		s.mu.Lock()
-		parked := s.pushes == 1
+		parked := s.rankSeen == 1
 		s.mu.Unlock()
 		if parked {
 			break
@@ -105,7 +105,7 @@ func psTrainRanked(t *testing.T, seed uint64, workers, rounds int, comp Compress
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c, err := DialPS(s.Addr())
+			c, err := DialPS(s.Addr(), 0)
 			if err != nil {
 				errs[w] = err
 				return
@@ -130,7 +130,7 @@ func psTrainRanked(t *testing.T, seed uint64, workers, rounds int, comp Compress
 				_, grad := tensor.CrossEntropy(logits, ys[w])
 				local.Backward(grad)
 				time.Sleep(delays[w])
-				weights, _, err = c.PushRanked(w, comp, GradSlices(local.Params()))
+				weights, _, err = c.Push(w, comp, GradSlices(local.Params()))
 				if err != nil {
 					errs[w] = err
 					return
@@ -160,21 +160,21 @@ func TestRankedSyncPSBitIdenticalAcrossRuns(t *testing.T) {
 
 func TestRankedPushValidatesRank(t *testing.T) {
 	s, master := startPS(t, 2, 25)
-	c, err := DialPS(s.Addr())
+	c, err := DialPS(s.Addr(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, _, err := c.PushRanked(5, CompressNone, GradSlices(master.Params())); err == nil {
+	if _, _, err := c.Push(5, CompressNone, GradSlices(master.Params())); err == nil {
 		t.Fatal("out-of-range rank must be rejected")
 	}
-	if _, _, err := c.PushRanked(-1, CompressNone, GradSlices(master.Params())); err == nil {
+	if _, _, err := c.Push(-1, CompressNone, GradSlices(master.Params())); err == nil {
 		t.Fatal("negative rank must be rejected")
 	}
 }
 
 func TestPushInt8RankedConverges(t *testing.T) {
-	// One worker, int8-compressed ranked pushes with client-side error
+	// One worker, int8-compressed pushes with client-side error
 	// feedback: training still converges over real TCP.
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -184,7 +184,7 @@ func TestPushInt8RankedConverges(t *testing.T) {
 	s := ServePS(l, master.Params(), optim.NewSGD(0.1), 1)
 	defer s.Close()
 
-	c, err := DialPS(s.Addr())
+	c, err := DialPS(s.Addr(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestPushInt8RankedConverges(t *testing.T) {
 			first = loss
 		}
 		last = loss
-		weights, _, err = c.PushRanked(0, CompressInt8, GradSlices(local.Params()))
+		weights, _, err = c.Push(0, CompressInt8, GradSlices(local.Params()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,12 +231,12 @@ func TestBoundedStalenessHoldsFastWorker(t *testing.T) {
 	s := ServeBoundedAsyncPS(l, master.Params(), optim.NewSGD(0.01), 2, 1)
 	defer s.Close()
 
-	fast, err := DialPS(s.Addr())
+	fast, err := DialPS(s.Addr(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fast.Close()
-	slow, err := DialPS(s.Addr())
+	slow, err := DialPS(s.Addr(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,13 +244,13 @@ func TestBoundedStalenessHoldsFastWorker(t *testing.T) {
 
 	grads := GradSlices(master.Params())
 	// First fast push: clock 1 vs min 0 — exactly at the bound, no block.
-	if _, _, err := fast.PushRanked(0, CompressNone, grads); err != nil {
+	if _, _, err := fast.Push(0, CompressNone, grads); err != nil {
 		t.Fatal(err)
 	}
 	// Second fast push: would be 2 ahead — must block.
 	second := make(chan error, 1)
 	go func() {
-		_, _, err := fast.PushRanked(0, CompressNone, grads)
+		_, _, err := fast.Push(0, CompressNone, grads)
 		second <- err
 	}()
 	select {
@@ -259,7 +259,7 @@ func TestBoundedStalenessHoldsFastWorker(t *testing.T) {
 	case <-time.After(100 * time.Millisecond):
 	}
 	// The slow worker catches up; the fast worker must now be released.
-	if _, _, err := slow.PushRanked(1, CompressNone, grads); err != nil {
+	if _, _, err := slow.Push(1, CompressNone, grads); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -277,7 +277,7 @@ func TestBoundedStalenessHoldsFastWorker(t *testing.T) {
 
 func TestPSClientCountsWireBytes(t *testing.T) {
 	s, master := startPS(t, 1, 95)
-	c, err := DialPS(s.Addr())
+	c, err := DialPS(s.Addr(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

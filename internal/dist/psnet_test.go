@@ -27,7 +27,7 @@ func startPS(t *testing.T, workers int, seed uint64) (*PSServer, *graph.Network)
 
 func TestPSPullReturnsWeights(t *testing.T) {
 	s, master := startPS(t, 1, 1)
-	c, err := DialPS(s.Addr())
+	c, err := DialPS(s.Addr(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestPSTrainingMatchesSingleReplica(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c, err := DialPS(s.Addr())
+			c, err := DialPS(s.Addr(), 0)
 			if err != nil {
 				errs[w] = err
 				return
@@ -92,7 +92,7 @@ func TestPSTrainingMatchesSingleReplica(t *testing.T) {
 			logits := local.Forward(xs[w], true)
 			_, grad := tensor.CrossEntropy(logits, ys[w])
 			local.Backward(grad)
-			_, _, err = c.Push(GradSlices(local.Params()))
+			_, _, err = c.Push(w, CompressNone, GradSlices(local.Params()))
 			errs[w] = err
 		}(w)
 	}
@@ -106,7 +106,7 @@ func TestPSTrainingMatchesSingleReplica(t *testing.T) {
 		t.Fatalf("server applied %d rounds, want 1", s.Version())
 	}
 	// Server weights equal the reference update.
-	c, _ := DialPS(s.Addr())
+	c, _ := DialPS(s.Addr(), 0)
 	defer c.Close()
 	weights, _, err := c.Pull()
 	if err != nil {
@@ -146,7 +146,7 @@ func TestPSMultiRoundConvergence(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c, err := DialPS(s.Addr())
+			c, err := DialPS(s.Addr(), 0)
 			if err != nil {
 				errs[w] = err
 				return
@@ -168,7 +168,7 @@ func TestPSMultiRoundConvergence(t *testing.T) {
 				loss, grad := tensor.CrossEntropy(logits, data[r].ys[w])
 				local.Backward(grad)
 				losses[w] = append(losses[w], loss)
-				weights, _, err = c.Push(GradSlices(local.Params()))
+				weights, _, err = c.Push(w, CompressNone, GradSlices(local.Params()))
 				if err != nil {
 					errs[w] = err
 					return
@@ -195,12 +195,12 @@ func TestPSMultiRoundConvergence(t *testing.T) {
 
 func TestPSRejectsMalformedPush(t *testing.T) {
 	s, _ := startPS(t, 1, 6)
-	c, err := DialPS(s.Addr())
+	c, err := DialPS(s.Addr(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, _, err := c.Push([][]float32{{1, 2}}); err == nil {
+	if _, _, err := c.Push(0, CompressNone, [][]float32{{1, 2}}); err == nil {
 		t.Fatal("wrong tensor count must be rejected")
 	}
 	// The connection survives the error and still serves pulls.
@@ -229,11 +229,12 @@ func TestAsyncPSConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	const workers, rounds = 3, 40
 	master := mlpConstructor(50)()
-	s := ServeAsyncPS(l, master.Params(), optim.NewSGD(0.05))
+	// A staleness bound of `rounds` never holds a worker back.
+	s := ServeBoundedAsyncPS(l, master.Params(), optim.NewSGD(0.05), workers, rounds)
 	defer s.Close()
 
-	const workers, rounds = 3, 40
 	var wg sync.WaitGroup
 	errs := make([]error, workers)
 	finalLoss := make([]float32, workers)
@@ -241,7 +242,7 @@ func TestAsyncPSConverges(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c, err := DialPS(s.Addr())
+			c, err := DialPS(s.Addr(), 0)
 			if err != nil {
 				errs[w] = err
 				return
@@ -266,7 +267,7 @@ func TestAsyncPSConverges(t *testing.T) {
 				local.Backward(grad)
 				finalLoss[w] = loss
 				// Async: push returns immediately with fresh weights.
-				weights, _, err = c.Push(GradSlices(local.Params()))
+				weights, _, err = c.Push(w, CompressNone, GradSlices(local.Params()))
 				if err != nil {
 					errs[w] = err
 					return
@@ -295,7 +296,7 @@ func TestPushHalfTrainsAndConverges(t *testing.T) {
 	// fp16 gradient compression halves wire volume while training still
 	// converges (half's 2^-11 relative error is far below SGD noise).
 	s, _ := startPS(t, 1, 70)
-	c, err := DialPS(s.Addr())
+	c, err := DialPS(s.Addr(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +321,7 @@ func TestPushHalfTrainsAndConverges(t *testing.T) {
 			first = loss
 		}
 		last = loss
-		weights, _, err = c.PushHalf(GradSlices(local.Params()))
+		weights, _, err = c.Push(0, CompressFP16, GradSlices(local.Params()))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -173,8 +173,6 @@ type WorkerConfig struct {
 	Compression Compression
 	// BytesPerSec throttles this worker's link (0 = unthrottled).
 	BytesPerSec float64
-	// Staleness is the SSP bound for ps-async (ignored otherwise).
-	Staleness int
 
 	Model       string
 	Seed        uint64
@@ -306,7 +304,7 @@ func RunWorker(cfg WorkerConfig) (WorkerResult, error) {
 		if _, err := recv("peers"); err != nil {
 			return WorkerResult{}, err
 		}
-		ps, err = DialPSThrottled(cfg.PSAddr, cfg.BytesPerSec)
+		ps, err = DialPS(cfg.PSAddr, cfg.BytesPerSec)
 		if err != nil {
 			return WorkerResult{}, err
 		}
@@ -421,7 +419,7 @@ func trainWorker(cfg WorkerConfig, model RunModel, ring *Ring, ps *PSClient) (*t
 			for i, p := range net.Params() {
 				grads[i] = p.Grad.Data()
 			}
-			weights, _, err := ps.PushRanked(cfg.Rank, cfg.Compression, grads)
+			weights, _, err := ps.Push(cfg.Rank, cfg.Compression, grads)
 			if err != nil {
 				sync.End()
 				st.End()
